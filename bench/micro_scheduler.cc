@@ -21,20 +21,25 @@
 namespace reflex {
 namespace {
 
-void BM_QosSchedulerRound(benchmark::State& state) {
-  const int num_tenants = static_cast<int>(state.range(0));
+// One scheduler with `num_lc` LC tenants followed by `num_be` BE
+// tenants, all generating 1M tokens/s (BE through the shared fair
+// share). Each iteration feeds one tenant, rotating over all of them,
+// and runs one round.
+void RunSchedulerRounds(benchmark::State& state, int num_lc, int num_be) {
   core::SchedulerShared shared;
   shared.read_ratio.Observe(0, false, 1000.0);
+  shared.be_token_rate = 1e6;
   core::RequestCostModel cost_model(10.0, 0.5);
   core::QosScheduler sched(shared, cost_model);
   std::vector<std::unique_ptr<core::Tenant>> tenants;
+  const int num_tenants = num_lc + num_be;
   for (int i = 0; i < num_tenants; ++i) {
     auto t = std::make_unique<core::Tenant>(
         i + 1,
-        i % 2 == 0 ? core::TenantClass::kLatencyCritical
+        i < num_lc ? core::TenantClass::kLatencyCritical
                    : core::TenantClass::kBestEffort,
         core::SloSpec{});
-    t->set_token_rate(1e6);
+    if (t->IsLatencyCritical()) t->set_token_rate(1e6);
     sched.AddTenant(t.get());
     tenants.push_back(std::move(t));
   }
@@ -55,7 +60,20 @@ void BM_QosSchedulerRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
   state.counters["tenants"] = num_tenants;
 }
+
+void BM_QosSchedulerRound(benchmark::State& state) {
+  // Half LC, half BE.
+  const int num_tenants = static_cast<int>(state.range(0));
+  RunSchedulerRounds(state, (num_tenants + 1) / 2, num_tenants / 2);
+}
 BENCHMARK(BM_QosSchedulerRound)->Arg(1)->Arg(16)->Arg(256)->Arg(2048);
+
+void BM_QosSchedulerIdleBe(benchmark::State& state) {
+  // Figure 6b's shape: thousands of BE tenants, at most one of them
+  // backlogged per round. Host cost should track the backlog.
+  RunSchedulerRounds(state, 0, static_cast<int>(state.range(0)));
+}
+BENCHMARK(BM_QosSchedulerIdleBe)->Arg(10000);
 
 void BM_GlobalTokenBucket(benchmark::State& state) {
   core::GlobalTokenBucket bucket;

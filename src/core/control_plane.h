@@ -22,7 +22,8 @@ class ReflexServer;
  *  - admission control for new latency-critical tenants, using the
  *    calibrated latency-vs-token-rate curve of the device;
  *  - recomputing token generation rates for LC and BE tenants whenever
- *    a tenant registers or terminates;
+ *    a tenant registers or terminates (per LC tenant, plus the one BE
+ *    fair share of the device);
  *  - handling NEG_LIMIT notifications from the scheduler (tenants that
  *    persistently burst above their SLO need renegotiation);
  *  - monitoring thread load and scaling the number of dataplane
@@ -50,8 +51,9 @@ class ControlPlane {
   void OnNegLimit(Tenant& tenant);
 
   /**
-   * Recomputes the device token cap (strictest LC SLO) and the per-
-   * tenant token rates; called on registration changes and by tests.
+   * Recomputes the device token cap (strictest LC SLO), the LC token
+   * rates and the shared BE fair share; called on registration changes
+   * and by tests. O(active LC tenants).
    */
   void RecomputeRates();
 
@@ -122,6 +124,11 @@ class ControlPlane {
   void UpdateErrorRates(sim::TimeNs window);
 
   ReflexServer& server_;
+  /** Active LC tenants in registration order (admission and rates
+   * walk only these, so registration costs O(LC tenants + threads)). */
+  std::vector<Tenant*> lc_tenants_;
+  /** Active BE tenants; they split the unreserved rate evenly. */
+  int num_be_ = 0;
   double scheduler_token_rate_ = 0.0;
   sim::TimeNs strictest_slo_ = 0;
   int64_t neg_limit_notifications_ = 0;

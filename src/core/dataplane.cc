@@ -311,8 +311,7 @@ sim::Task DataplaneThread::RunLoop() {
       --tenant->inflight;
       const int64_t bytes =
           static_cast<int64_t>(item.io.msg.sectors) * kSectorBytes;
-      tenant->inflight_bytes -= bytes;
-      tenant->completed_bytes += bytes;
+      QosScheduler::BookDeviceBytes(*tenant, -bytes, bytes);
       const bool is_read = item.io.msg.type == ReqType::kRead;
       if (is_read) {
         ++tenant->completed_reads;
@@ -367,9 +366,9 @@ void DataplaneThread::SubmitToFlash(Tenant& tenant, PendingIo&& io) {
   cmd.data = io.msg.data;
   cmd.cookie = io.msg.cookie;
   Tenant* tenant_ptr = &tenant;
+  const int64_t bytes = static_cast<int64_t>(cmd.sectors) * kSectorBytes;
   ++tenant.inflight;
-  tenant.inflight_bytes +=
-      static_cast<int64_t>(cmd.sectors) * kSectorBytes;
+  QosScheduler::BookDeviceBytes(tenant, bytes, 0);
   auto shared_io = std::make_shared<PendingIo>(std::move(io));
   const bool ok = device_.Submit(
       qp_, cmd,
@@ -382,8 +381,7 @@ void DataplaneThread::SubmitToFlash(Tenant& tenant, PendingIo&& io) {
     // Ranges were validated at parse time, so a failed submission
     // means the hardware queue pair is full.
     --tenant.inflight;
-    tenant.inflight_bytes -=
-        static_cast<int64_t>(cmd.sectors) * kSectorBytes;
+    QosScheduler::BookDeviceBytes(tenant, -bytes, 0);
     FailIo(*shared_io, ReqStatus::kOutOfResources);
   }
 }

@@ -108,6 +108,29 @@ void TokenBucketPolicy::FinishBe(Tenant& t) {
   }
 }
 
+void TokenBucketPolicy::ServeIdleBe(int64_t count, double dt) {
+  // Per idle tenant, AccrueBe credits gen to a zero balance and claims
+  // nothing (its deficit 0 - gen is never positive); FinishBe then
+  // donates the whole gen and zeroes the balance again. Totals take
+  // the count additions one at a time, as the tenant-by-tenant walk
+  // did: count * gen in one step rounds differently.
+  const double gen = ctx_.shared->be_token_rate * dt;
+  const bool donate = gen > 0.0;
+  const bool metrics = ctx_.metrics->enabled();
+  double generated = ctx_.shared->tokens_generated_total;
+  double donated = ctx_.shared->tokens_donated_total;
+  for (int64_t i = 0; i < count; ++i) {
+    generated += gen;
+    if (donate) donated += gen;
+  }
+  ctx_.shared->tokens_generated_total = generated;
+  ctx_.shared->tokens_donated_total = donated;
+  if (metrics) ctx_.metrics->tokens_generated->AddRepeated(gen, count);
+  if (!donate) return;
+  ctx_.shared->global_bucket.DonateEach(count, gen);
+  if (metrics) ctx_.metrics->tokens_donated->AddRepeated(gen, count);
+}
+
 // --- QwinPolicy (window-sized quotas for LC tenants) ---
 
 sim::TimeNs QwinPolicy::WindowLength(const Tenant& t) const {
@@ -169,16 +192,9 @@ void QwinPolicy::OnRemoveTenant(Tenant& t) { windows_.erase(t.handle()); }
 // --- AdaptiveBePolicy (measured-rate BE inflight cap) ---
 
 void AdaptiveBePolicy::BeginRound(sim::TimeNs /*now*/, double dt,
-                                  const std::vector<Tenant*>& /*lc*/,
-                                  const std::vector<Tenant*>& be) {
-  int64_t completed_total = 0;
-  int64_t inflight_bytes = 0;
-  for (const Tenant* t : be) {
-    completed_total += t->completed_bytes;
-    inflight_bytes += t->inflight_bytes;
-  }
-  const int64_t delta = completed_total - last_completed_total_;
-  last_completed_total_ = completed_total;
+                                  const BeIoTotals& be) {
+  const int64_t delta = be.completed_bytes - last_completed_total_;
+  last_completed_total_ = be.completed_bytes;
   if (dt > 0.0 && delta >= 0) {
     const double inst = static_cast<double>(delta) / dt;
     rate_ = rate_primed_
@@ -190,7 +206,7 @@ void AdaptiveBePolicy::BeginRound(sim::TimeNs /*now*/, double dt,
       rate_ * sim::ToSeconds(ctx_.config->adaptive_drain_target);
   cap_bytes_ = std::max(ctx_.config->adaptive_min_cap_bytes,
                         static_cast<int64_t>(std::llround(cap)));
-  inflight_be_bytes_ = inflight_bytes;
+  inflight_be_bytes_ = be.inflight_bytes;
 }
 
 bool AdaptiveBePolicy::AdmitBe(const Tenant& t, const PendingIo& io) const {
@@ -208,11 +224,11 @@ void AdaptiveBePolicy::OnSubmit(Tenant& t, const PendingIo& io) {
 void AdaptiveBePolicy::OnAddTenant(Tenant& t) {
   // Fold the joining tenant's history into the baseline so the next
   // round's completed-bytes delta reflects only new completions.
-  if (!t.IsLatencyCritical()) last_completed_total_ += t.completed_bytes;
+  if (!t.IsLatencyCritical()) last_completed_total_ += t.completed_bytes();
 }
 
 void AdaptiveBePolicy::OnRemoveTenant(Tenant& t) {
-  if (!t.IsLatencyCritical()) last_completed_total_ -= t.completed_bytes;
+  if (!t.IsLatencyCritical()) last_completed_total_ -= t.completed_bytes();
 }
 
 std::unique_ptr<QosPolicy> MakeQosPolicy(const QosPolicyContext& ctx) {

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/tenant.h"
 #include "obs/hooks.h"
@@ -88,6 +87,16 @@ struct QosConfig {
   int64_t adaptive_min_cap_bytes = 64 * 1024;
 };
 
+/**
+ * Device payload bytes of the BE tenants bound to one scheduler, kept
+ * as exact running sums by QosScheduler::BookDeviceBytes and tenant
+ * (un)binding, so no round has to walk the tenants to total them.
+ */
+struct BeIoTotals {
+  int64_t inflight_bytes = 0;
+  int64_t completed_bytes = 0;
+};
+
 /** Invoked when an LC tenant hits NEG_LIMIT (SLO renegotiation). */
 using NegLimitFn = std::function<void(Tenant&)>;
 
@@ -117,8 +126,14 @@ struct QosPolicyContext {
  *   AdmitLc/AdmitBe   per queued request: may the front submit?
  *   FinishLc/FinishBe per tenant, after its service loop: donation /
  *                     spill / anti-hoarding reset
+ *   ServeIdleBe       per run of idle BE tenants in the rotation: the
+ *                     net effect of AccrueBe + FinishBe on each
  *   OnSubmit          after a request was granted (spend already
  *                     booked), for policies tracking inflight state
+ *
+ * LC tenants are all visited every round. Of the BE tenants only the
+ * backlogged ones are (see QosScheduler); the idle ones in between are
+ * handed to ServeIdleBe as runs, in rotation order.
  *
  * Invariant contract: every token credited to a tenant balance MUST be
  * recorded in shared->tokens_generated_total, and every token removed
@@ -137,11 +152,10 @@ class QosPolicy {
   virtual QosPolicyKind kind() const = 0;
   const char* name() const { return QosPolicyKindName(kind()); }
 
-  /** Round prologue; `lc` / `be` are the tenants bound to this
-   * scheduler thread, in service order. */
+  /** Round prologue; `be` totals the device bytes of the BE tenants
+   * bound to this scheduler thread. */
   virtual void BeginRound(sim::TimeNs /*now*/, double /*dt*/,
-                          const std::vector<Tenant*>& /*lc*/,
-                          const std::vector<Tenant*>& /*be*/) {}
+                          const BeIoTotals& /*be*/) {}
 
   virtual void AccrueLc(Tenant& t, sim::TimeNs now, double dt) = 0;
   virtual bool AdmitLc(const Tenant& t, const PendingIo& io) const = 0;
@@ -150,6 +164,15 @@ class QosPolicy {
   virtual void AccrueBe(Tenant& t, sim::TimeNs now, double dt) = 0;
   virtual bool AdmitBe(const Tenant& t, const PendingIo& io) const = 0;
   virtual void FinishBe(Tenant& /*t*/) {}
+
+  /**
+   * Serves `count` consecutive BE tenants that are idle: empty queue,
+   * zero queued cost, zero balance, and the device's shared BE rate
+   * (SchedulerShared::be_token_rate). Must leave the ledgers, metric
+   * counters and global bucket exactly as `count` AccrueBe + FinishBe
+   * visits would, in the same order; the tenants themselves end idle.
+   */
+  virtual void ServeIdleBe(int64_t count, double dt) = 0;
 
   /** A request of tenant `t` was granted and handed to the device. */
   virtual void OnSubmit(Tenant& /*t*/, const PendingIo& /*io*/) {}
@@ -193,6 +216,7 @@ class TokenBucketPolicy : public QosPolicy {
   void AccrueBe(Tenant& t, sim::TimeNs now, double dt) override;
   bool AdmitBe(const Tenant& t, const PendingIo& io) const override;
   void FinishBe(Tenant& t) override;
+  void ServeIdleBe(int64_t count, double dt) override;
 
  protected:
   /** Shared accrual: rate * dt into the balance + conservation ledger. */
@@ -262,9 +286,7 @@ class AdaptiveBePolicy : public TokenBucketPolicy {
     return QosPolicyKind::kAdaptiveBe;
   }
 
-  void BeginRound(sim::TimeNs now, double dt,
-                  const std::vector<Tenant*>& lc,
-                  const std::vector<Tenant*>& be) override;
+  void BeginRound(sim::TimeNs now, double dt, const BeIoTotals& be) override;
   bool AdmitBe(const Tenant& t, const PendingIo& io) const override;
   void OnSubmit(Tenant& t, const PendingIo& io) override;
   void OnAddTenant(Tenant& t) override;

@@ -15,10 +15,21 @@ QosScheduler::QosScheduler(SchedulerShared& shared,
 
 void QosScheduler::AddTenant(Tenant* tenant) {
   REFLEX_CHECK(tenant != nullptr);
+  REFLEX_CHECK(tenant->scheduler_ == nullptr);
+  tenant->scheduler_ = this;
+  queued_requests_ += static_cast<int64_t>(tenant->queue_.size());
   if (tenant->IsLatencyCritical()) {
     lc_tenants_.push_back(tenant);
   } else {
+    tenant->be_rate_ = &shared_.be_token_rate;
+    tenant->be_slot_ = be_tenants_.size();
     be_tenants_.push_back(tenant);
+    if (be_backlog_.size() * 64 < be_tenants_.size()) {
+      be_backlog_.push_back(0);
+    }
+    SetBacklogBit(tenant->be_slot_, NeedsVisit(*tenant));
+    be_io_.inflight_bytes += tenant->inflight_bytes_;
+    be_io_.completed_bytes += tenant->completed_bytes_;
   }
   policy_->OnAddTenant(*tenant);
 }
@@ -30,21 +41,32 @@ void QosScheduler::RemoveTenant(Tenant* tenant) {
     v.erase(it);
     return true;
   };
+  REFLEX_CHECK(tenant->scheduler_ == this);
   // A retiring tenant takes its balance with it; record the amount so
   // the token-conservation ledger still closes.
   shared_.tokens_retired_total += tenant->tokens_;
   tenant->tokens_ = 0.0;
   if (!erase_from(lc_tenants_)) {
-    auto it = std::find(be_tenants_.begin(), be_tenants_.end(), tenant);
-    REFLEX_CHECK(it != be_tenants_.end());
-    const size_t idx = static_cast<size_t>(it - be_tenants_.begin());
-    be_tenants_.erase(it);
+    const size_t idx = tenant->be_slot_;
+    REFLEX_CHECK(idx < be_tenants_.size() && be_tenants_[idx] == tenant);
+    be_tenants_.erase(be_tenants_.begin() + static_cast<long>(idx));
+    // Every later tenant moves down one slot, and its backlog bit with
+    // it; the vacated last slot is cleared.
+    for (size_t i = idx; i < be_tenants_.size(); ++i) {
+      be_tenants_[i]->be_slot_ = i;
+      SetBacklogBit(i, NeedsVisit(*be_tenants_[i]));
+    }
+    SetBacklogBit(be_tenants_.size(), false);
     // Erasing below the cursor shifts every later tenant down one
     // slot; keep the cursor pointing at the same next-to-serve tenant
     // so the round-robin rotation is unaffected by removals.
     if (idx < be_cursor_) --be_cursor_;
     if (be_cursor_ >= be_tenants_.size()) be_cursor_ = 0;
+    be_io_.inflight_bytes -= tenant->inflight_bytes_;
+    be_io_.completed_bytes -= tenant->completed_bytes_;
   }
+  queued_requests_ -= static_cast<int64_t>(tenant->queue_.size());
+  tenant->scheduler_ = nullptr;
   policy_->OnRemoveTenant(*tenant);
 }
 
@@ -63,27 +85,14 @@ void QosScheduler::Enqueue(sim::TimeNs now, Tenant* tenant, PendingIo io) {
   io.MarkStage(obs::Stage::kEnqueued, now);
   tenant->queue_.push_back(std::move(io));
   tenant->queued_cost_ += tenant->queue_.back().cost;
-}
-
-bool QosScheduler::HasPendingDemand() const {
-  for (const Tenant* t : lc_tenants_) {
-    if (!t->queue_.empty()) return true;
+  // Book the request with whichever scheduler the tenant is bound to;
+  // an unbound tenant's queue is counted when it is next bound.
+  if (QosScheduler* owner = tenant->scheduler_) {
+    ++owner->queued_requests_;
+    if (!tenant->IsLatencyCritical()) {
+      owner->SetBacklogBit(tenant->be_slot_, true);
+    }
   }
-  for (const Tenant* t : be_tenants_) {
-    if (!t->queue_.empty()) return true;
-  }
-  return false;
-}
-
-int64_t QosScheduler::QueuedRequests() const {
-  int64_t queued = 0;
-  for (const Tenant* t : lc_tenants_) {
-    queued += static_cast<int64_t>(t->queue_.size());
-  }
-  for (const Tenant* t : be_tenants_) {
-    queued += static_cast<int64_t>(t->queue_.size());
-  }
-  return queued;
 }
 
 bool QosScheduler::FrontBlockedByBarrier(const Tenant& t) {
@@ -95,6 +104,7 @@ void QosScheduler::SubmitFront(sim::TimeNs now, Tenant& t,
                                const SubmitFn& submit) {
   PendingIo io = std::move(t.queue_.front());
   t.queue_.pop_front();
+  --queued_requests_;
   t.queued_cost_ -= io.cost;
   if (t.queued_cost_ < 0.0) t.queued_cost_ = 0.0;
   if (!config_.enforce) {
@@ -135,6 +145,8 @@ int QosScheduler::RunRound(sim::TimeNs now, const SubmitFn& submit) {
     prev_round_time_ = now;
     has_run_ = true;
   }
+  // Time never runs backwards; ServeIdleBe relies on dt >= 0.
+  REFLEX_CHECK(now >= prev_round_time_);
   const sim::TimeNs gap = now - prev_round_time_;
   const double dt = sim::ToSeconds(gap);
   prev_round_time_ = now;
@@ -153,17 +165,20 @@ int QosScheduler::RunRound(sim::TimeNs now, const SubmitFn& submit) {
         ++submitted;
       }
     }
-    for (Tenant* tp : be_tenants_) {
-      while (!tp->queue_.empty() && !FrontBlockedByBarrier(*tp)) {
-        SubmitFront(now, *tp, submit);
+    const size_t n = be_tenants_.size();
+    for (size_t s = NextBacklogged(0, n); s < n; s = NextBacklogged(s + 1, n)) {
+      Tenant& t = *be_tenants_[s];
+      while (!t.queue_.empty() && !FrontBlockedByBarrier(t)) {
+        SubmitFront(now, t, submit);
         ++submitted;
       }
+      SetBacklogBit(s, NeedsVisit(t));
     }
     MarkRoundComplete();
     return submitted;
   }
 
-  policy_->BeginRound(now, dt, lc_tenants_, be_tenants_);
+  policy_->BeginRound(now, dt, be_io_);
 
   // --- Latency-critical tenants (Alg. 1 lines 4-12) ---
   for (Tenant* tp : lc_tenants_) {
@@ -178,17 +193,36 @@ int QosScheduler::RunRound(sim::TimeNs now, const SubmitFn& submit) {
   }
 
   // --- Best-effort tenants, round-robin (Alg. 1 lines 13-21) ---
+  // Rotation order is slots [be_cursor_, n) then [0, be_cursor_).
+  // Backlogged tenants are visited one by one; each run of idle
+  // tenants is served in one step at its place in the order, before
+  // the next tenant's claim.
   const size_t n = be_tenants_.size();
-  for (size_t k = 0; k < n; ++k) {
-    Tenant& t = *be_tenants_[(be_cursor_ + k) % n];
-    policy_->AccrueBe(t, now, dt);
-    while (!t.queue_.empty() && policy_->AdmitBe(t, t.queue_.front()) &&
-           !FrontBlockedByBarrier(t)) {
-      SubmitFront(now, t, submit);
-      ++submitted;
+  int64_t idle = 0;
+  size_t next = be_cursor_;  // first slot not yet served
+  size_t end = n;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t s = NextBacklogged(next, end); s < end;
+         s = NextBacklogged(s + 1, end)) {
+      idle += static_cast<int64_t>(s - next);
+      if (idle > 0) policy_->ServeIdleBe(idle, dt);
+      idle = 0;
+      Tenant& t = *be_tenants_[s];
+      policy_->AccrueBe(t, now, dt);
+      while (!t.queue_.empty() && policy_->AdmitBe(t, t.queue_.front()) &&
+             !FrontBlockedByBarrier(t)) {
+        SubmitFront(now, t, submit);
+        ++submitted;
+      }
+      policy_->FinishBe(t);
+      SetBacklogBit(s, NeedsVisit(t));
+      next = s + 1;
     }
-    policy_->FinishBe(t);
+    idle += static_cast<int64_t>(end - next);
+    next = 0;
+    end = be_cursor_;
   }
+  if (idle > 0) policy_->ServeIdleBe(idle, dt);
   if (n > 0) be_cursor_ = (be_cursor_ + 1) % n;
 
   MarkRoundComplete();

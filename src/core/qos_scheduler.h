@@ -1,7 +1,9 @@
 #ifndef REFLEX_CORE_QOS_SCHEDULER_H_
 #define REFLEX_CORE_QOS_SCHEDULER_H_
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -44,6 +46,14 @@ struct SchedulerShared {
     reset_epoch.fetch_add(1, std::memory_order_acq_rel);
   }
 
+  /**
+   * Best-effort fair share (tokens/sec): the one rate every BE tenant
+   * of this device generates at (Tenant::token_rate() reads it).
+   * Stored once so the scheduler can serve a run of idle BE tenants
+   * in one step. Maintained by the control plane.
+   */
+  double be_token_rate = 0.0;
+
   /** Cumulative tokens spent across all threads (Figure 6a metric). */
   double tokens_spent_total = 0.0;
 
@@ -77,6 +87,13 @@ struct SchedulerShared {
  * round-robin rotation and the end-of-round global-bucket reset epoch
  * -- and delegates per-round policy decisions (token/quota accrual,
  * admission, donation) to a QosPolicy selected by Config::policy.
+ *
+ * Host cost scales with backlogged work, not with tenant count: a
+ * running queued-request count makes the queue-depth queries O(1),
+ * and a round visits only the BE tenants marked in an occupancy
+ * bitmap over rotation slots. Each run of idle BE tenants in between
+ * is served by one QosPolicy::ServeIdleBe call, at its place in the
+ * rotation, with exactly the effect of visiting them one by one.
  *
  * The default TokenBucketPolicy implements Algorithm 1 of the paper:
  * latency-critical tenants are served first with burst limits
@@ -114,11 +131,23 @@ class QosScheduler {
    */
   int RunRound(sim::TimeNs now, const SubmitFn& submit);
 
-  /** True if any tenant on this thread has queued requests. */
-  bool HasPendingDemand() const;
+  /** True if any tenant on this thread has queued requests. O(1). */
+  bool HasPendingDemand() const { return queued_requests_ > 0; }
 
-  /** Requests queued across every tenant bound to this thread. */
-  int64_t QueuedRequests() const;
+  /** Requests queued across every tenant bound to this thread. O(1). */
+  int64_t QueuedRequests() const { return queued_requests_; }
+
+  /**
+   * Books device payload bytes for `t`: +bytes of inflight at submit,
+   * -bytes if the submission failed, and (-bytes, +bytes) at
+   * completion. Keeps the tenant's counters and the BE totals of the
+   * scheduler it is bound to (if any) in step, as exact integer sums.
+   */
+  static void BookDeviceBytes(Tenant& t, int64_t inflight_delta,
+                              int64_t completed_delta);
+
+  /** Device bytes of the BE tenants bound to this scheduler. */
+  const BeIoTotals& be_io() const { return be_io_; }
 
   /** Number of tenants bound to this scheduler. */
   int NumTenants() const {
@@ -149,6 +178,34 @@ class QosScheduler {
   void SubmitFront(sim::TimeNs now, Tenant& t, const SubmitFn& submit);
   void MarkRoundComplete();
 
+  /** True unless `t` is in the idle state ServeIdleBe assumes: empty
+   * queue, zero queued cost and zero balance. */
+  static bool NeedsVisit(const Tenant& t) {
+    return !t.queue_.empty() || t.queued_cost_ != 0.0 || t.tokens_ != 0.0;
+  }
+
+  void SetBacklogBit(size_t slot, bool on) {
+    const uint64_t mask = uint64_t{1} << (slot & 63);
+    if (on) {
+      be_backlog_[slot >> 6] |= mask;
+    } else {
+      be_backlog_[slot >> 6] &= ~mask;
+    }
+  }
+
+  /** First marked slot in [from, end), or end. */
+  size_t NextBacklogged(size_t from, size_t end) const {
+    while (from < end) {
+      const uint64_t word = be_backlog_[from >> 6] >> (from & 63);
+      if (word != 0) {
+        const auto bit = static_cast<size_t>(std::countr_zero(word));
+        return std::min(end, from + bit);
+      }
+      from = (from | 63) + 1;
+    }
+    return end;
+  }
+
   SchedulerShared& shared_;
   const RequestCostModel& cost_model_;
   Config config_;
@@ -163,12 +220,27 @@ class QosScheduler {
   std::vector<Tenant*> lc_tenants_;
   std::vector<Tenant*> be_tenants_;
   size_t be_cursor_ = 0;
+  /** Bit i set iff NeedsVisit(*be_tenants_[i]); 64 slots per word. */
+  std::vector<uint64_t> be_backlog_;
+  /** Sum of queue_depth() over every bound tenant. */
+  int64_t queued_requests_ = 0;
+  BeIoTotals be_io_;
 
   sim::TimeNs prev_round_time_ = 0;
   bool has_run_ = false;
   uint64_t local_epoch_ = 0;
   bool marked_this_epoch_ = false;
 };
+
+inline void QosScheduler::BookDeviceBytes(Tenant& t, int64_t inflight_delta,
+                                          int64_t completed_delta) {
+  t.inflight_bytes_ += inflight_delta;
+  t.completed_bytes_ += completed_delta;
+  if (t.scheduler_ != nullptr && !t.IsLatencyCritical()) {
+    t.scheduler_->be_io_.inflight_bytes += inflight_delta;
+    t.scheduler_->be_io_.completed_bytes += completed_delta;
+  }
+}
 
 }  // namespace reflex::core
 

@@ -76,12 +76,10 @@ void ReflexServer::SetFaultPlan(sim::FaultPlan* plan) {
 }
 
 Tenant* ReflexServer::CreateTenant(const SloSpec& slo, TenantClass cls) {
-  const uint32_t handle = next_handle_++;
-  auto tenant = std::make_unique<Tenant>(handle, cls, slo);
-  Tenant* raw = tenant.get();
-  tenants_.emplace(handle, std::move(tenant));
-  tenant_list_.push_back(raw);
-  return raw;
+  const auto handle = static_cast<uint32_t>(tenants_.size() + 1);
+  tenants_.push_back(std::make_unique<Tenant>(handle, cls, slo));
+  tenant_list_.push_back(tenants_.back().get());
+  return tenant_list_.back();
 }
 
 Tenant* ReflexServer::RegisterTenant(const SloSpec& slo, TenantClass cls,
@@ -97,8 +95,8 @@ bool ReflexServer::UnregisterTenant(uint32_t handle) {
 }
 
 Tenant* ReflexServer::FindTenant(uint32_t handle) {
-  auto it = tenants_.find(handle);
-  return it == tenants_.end() ? nullptr : it->second.get();
+  if (handle == 0 || handle > tenants_.size()) return nullptr;
+  return tenants_[handle - 1].get();
 }
 
 AcceptResult ReflexServer::Accept(

@@ -265,8 +265,10 @@ class ReflexServer {
   std::vector<std::unique_ptr<DataplaneThread>> threads_;
   int active_threads_ = 0;
 
-  uint32_t next_handle_ = 1;
-  std::map<uint32_t, std::unique_ptr<Tenant>> tenants_;
+  /** Owns every tenant ever registered, zombies included; handles are
+   * dense from 1, so tenant `h` lives at index h - 1. */
+  std::vector<std::unique_ptr<Tenant>> tenants_;
+  /** Non-owning registration-order view of tenants_ (tenants()). */
   std::vector<Tenant*> tenant_list_;
 
   std::vector<std::unique_ptr<ServerConnection>> connections_;

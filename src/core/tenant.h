@@ -7,10 +7,12 @@
 
 #include "core/protocol.h"
 #include "core/slo.h"
+#include "sim/logging.h"
 #include "sim/time.h"
 
 namespace reflex::core {
 
+class QosScheduler;
 class ServerConnection;
 
 /** A read/write request queued in a tenant's software queue. */
@@ -61,11 +63,20 @@ class Tenant {
 
   /**
    * Token generation rate (tokens/sec). For LC tenants this is the
-   * SLO reservation; for BE tenants the fair share of unallocated
-   * throughput. Maintained by the control plane.
+   * SLO reservation, maintained per tenant by the control plane. For
+   * BE tenants it is the device's one fair share of unallocated
+   * throughput (SchedulerShared::be_token_rate), visible once the
+   * tenant has been bound to a scheduler of that device: every BE
+   * tenant of a device generates at the same rate by construction.
    */
-  double token_rate() const { return token_rate_; }
-  void set_token_rate(double rate) { token_rate_ = rate; }
+  double token_rate() const {
+    if (IsLatencyCritical()) return token_rate_;
+    return be_rate_ != nullptr ? *be_rate_ : 0.0;
+  }
+  void set_token_rate(double rate) {
+    REFLEX_CHECK(IsLatencyCritical());
+    token_rate_ = rate;
+  }
 
   /** Sum of priced costs of queued requests ("demand" in Alg. 1). */
   double queued_cost() const { return queued_cost_; }
@@ -78,8 +89,13 @@ class Tenant {
   bool active() const { return active_; }
   void set_active(bool active) { active_ = active; }
 
-  /** Removes and returns all queued requests (unregistration path). */
+  /**
+   * Removes and returns all queued requests (unregistration path).
+   * The tenant must already be unbound from its scheduler, whose
+   * queued-request count covers bound tenants only.
+   */
   std::deque<PendingIo> TakeQueue() {
+    REFLEX_CHECK(scheduler_ == nullptr);
     queued_cost_ = 0.0;
     std::deque<PendingIo> q;
     q.swap(queue_);
@@ -95,13 +111,15 @@ class Tenant {
   double tokens_spent = 0.0;
   /** I/Os submitted to the device and not yet completed (barriers). */
   int64_t inflight = 0;
-  /** Payload bytes submitted to the device and not yet completed
-   * (AdaptiveBePolicy's bufferbloat control). */
-  int64_t inflight_bytes = 0;
-  /** Total payload bytes of completed device I/Os. */
-  int64_t completed_bytes = 0;
   /** Non-kOk responses sent on behalf of this tenant. */
   int64_t errors = 0;
+
+  /** Payload bytes submitted to the device and not yet completed
+   * (AdaptiveBePolicy's bufferbloat control). Booked through
+   * QosScheduler::BookDeviceBytes. */
+  int64_t inflight_bytes() const { return inflight_bytes_; }
+  /** Total payload bytes of completed device I/Os. */
+  int64_t completed_bytes() const { return completed_bytes_; }
 
  private:
   friend class QosScheduler;
@@ -111,8 +129,13 @@ class Tenant {
   TenantClass cls_;
   SloSpec slo_;
   int thread_index_ = -1;
+  /** LC reservation; BE tenants read be_rate_ instead. */
   double token_rate_ = 0.0;
+  /** The device's BE fair share, bound by QosScheduler::AddTenant. */
+  const double* be_rate_ = nullptr;
   bool active_ = true;
+  int64_t inflight_bytes_ = 0;
+  int64_t completed_bytes_ = 0;
 
   // Scheduler state (owned by the tenant's thread scheduler).
   double tokens_ = 0.0;
@@ -121,6 +144,10 @@ class Tenant {
   /** Tokens granted in the last 3 rounds: POS_LIMIT (section 3.2.2). */
   double grant_history_[3] = {0.0, 0.0, 0.0};
   int grant_cursor_ = 0;
+  /** Scheduler this tenant is bound to (null while unbound). */
+  QosScheduler* scheduler_ = nullptr;
+  /** BE only: index into the scheduler's rotation (be_tenants_). */
+  size_t be_slot_ = 0;
 };
 
 }  // namespace reflex::core

@@ -58,6 +58,13 @@ LabelSet Label(const std::string& key, const std::string& value);
 class Counter {
  public:
   void Add(double n = 1.0) { value_ += n; }
+  /** `times` calls of Add(n), bit for bit: one n * times rounds
+   * differently from the running sum. */
+  void AddRepeated(double n, int64_t times) {
+    double v = value_;
+    for (int64_t i = 0; i < times; ++i) v += n;
+    value_ = v;
+  }
   void Increment() { value_ += 1.0; }
   double value() const { return value_; }
   void Reset() { value_ = 0.0; }

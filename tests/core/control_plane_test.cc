@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "client/load_generator.h"
 #include "client/reflex_client.h"
 #include "testing/harness.h"
@@ -300,6 +302,67 @@ TEST(ControlPlaneTest, AutoScaleMonitorAddsThreads) {
   h.RunUntilDone(load.Done(), sim::Seconds(60));
   EXPECT_GT(h.server.num_active_threads(), 1)
       << "monitor scaled up under saturation";
+}
+
+// The schedulers keep running queued-request counts; after every
+// control-plane move they must equal a brute-force sum over the
+// tenants each thread serves.
+void ExpectQueueCountsMatch(core::ReflexServer& server, const char* step) {
+  for (int i = 0; i < server.num_threads(); ++i) {
+    int64_t queued = 0;
+    for (const core::Tenant* t : server.tenants()) {
+      if (t->active() && t->thread_index() == i) {
+        queued += static_cast<int64_t>(t->queue_depth());
+      }
+    }
+    const core::QosScheduler& sched = server.thread(i).scheduler();
+    EXPECT_EQ(sched.QueuedRequests(), queued) << step << " thread " << i;
+    EXPECT_EQ(sched.HasPendingDemand(), queued > 0) << step;
+  }
+}
+
+TEST(ControlPlaneTest, QueueCountsFollowTenantMoves) {
+  core::ServerOptions options;
+  options.num_threads = 2;
+  options.max_threads = 4;
+  Harness h(options);
+  std::vector<core::Tenant*> tenants;
+  for (int i = 0; i < 12; ++i) {
+    tenants.push_back(i % 3 == 0 ? h.LcTenant(10000, 0.9, Millis(2))
+                                 : h.BeTenant());
+  }
+  // Queue requests straight into each owner's scheduler without
+  // running the simulation, so they stay queued through the moves.
+  for (size_t i = 0; i < tenants.size(); ++i) {
+    core::Tenant* t = tenants[i];
+    core::ServerConnection* conn =
+        h.server.Accept(h.client_machine, t->handle(), nullptr).conn;
+    ASSERT_NE(conn, nullptr);
+    for (size_t k = 0; k <= i % 4; ++k) {
+      core::PendingIo io;
+      io.msg.type = core::ReqType::kRead;
+      io.msg.handle = t->handle();
+      io.msg.sectors = 8;
+      io.conn = conn;
+      h.server.thread(t->thread_index())
+          .scheduler()
+          .Enqueue(h.sim.Now(), t, std::move(io));
+    }
+  }
+  ExpectQueueCountsMatch(h.server, "enqueue");
+  ASSERT_TRUE(h.server.control_plane().ScaleTo(4));
+  ExpectQueueCountsMatch(h.server, "ScaleTo(4)");
+  h.server.control_plane().RebalanceTenants();
+  ExpectQueueCountsMatch(h.server, "RebalanceTenants");
+  // Unregistering drops the tenant and fails its queued I/Os back.
+  ASSERT_TRUE(h.server.UnregisterTenant(tenants[1]->handle()));
+  ASSERT_TRUE(h.server.UnregisterTenant(tenants[3]->handle()));
+  ExpectQueueCountsMatch(h.server, "DropTenant");
+  ASSERT_TRUE(h.server.control_plane().ScaleTo(1));
+  ExpectQueueCountsMatch(h.server, "ScaleTo(1)");
+  EXPECT_TRUE(h.server.thread(0).scheduler().HasPendingDemand());
+  h.sim.RunUntil(h.sim.Now() + Millis(5));
+  ExpectQueueCountsMatch(h.server, "after running");
 }
 
 }  // namespace

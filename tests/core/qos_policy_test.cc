@@ -155,7 +155,7 @@ TEST_F(QosPolicyTest, QwinOverdrawIsRepaidFromNextQuota) {
 TEST_F(QosPolicyTest, AdaptiveBeCapsInflightAtMinCapWhileUnprimed) {
   auto sched = NewSched(QosPolicyKind::kAdaptiveBe);
   Tenant t(1, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(1e6);
+  shared_.be_token_rate = 1e6;
   sched->AddTenant(&t);
 
   EnqueueN(*sched, &t, 100, ReqType::kRead);
@@ -171,7 +171,7 @@ TEST_F(QosPolicyTest, AdaptiveBeCapsInflightAtMinCapWhileUnprimed) {
   EXPECT_EQ(adaptive.cap_bytes(), 64 * 1024);
 
   // While those bytes sit at the device, nothing more is admitted.
-  t.inflight_bytes = 16 * 4096;
+  QosScheduler::BookDeviceBytes(t, 16 * 4096, 0);
   sched->RunRound(Millis(20), Count());
   EXPECT_EQ(submitted_, 16);
 }
@@ -182,7 +182,7 @@ TEST_F(QosPolicyTest, AdaptiveBeRaisesCapWithMeasuredServiceRate) {
   auto sched =
       std::make_unique<QosScheduler>(shared_, cost_model_, config);
   Tenant t(1, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(1e6);
+  shared_.be_token_rate = 1e6;
   sched->AddTenant(&t);
 
   EnqueueN(*sched, &t, 100, ReqType::kRead);
@@ -193,8 +193,7 @@ TEST_F(QosPolicyTest, AdaptiveBeRaisesCapWithMeasuredServiceRate) {
   // The device drains everything and reports 10MB completed: the
   // measured rate is 10MB / 10ms = 1GB/s, EWMA'd into the estimate,
   // and the cap becomes rate * drain_target.
-  t.inflight_bytes = 0;
-  t.completed_bytes = 10 * 1000 * 1000;
+  QosScheduler::BookDeviceBytes(t, 0, 10 * 1000 * 1000);
   sched->RunRound(Millis(20), Count());
 
   const auto& adaptive =
@@ -227,7 +226,7 @@ TEST_F(QosPolicyTest, ConservationLedgerClosesUnderEveryPolicy) {
     Tenant lc(1, TenantClass::kLatencyCritical, slo);
     lc.set_token_rate(50000.0);
     Tenant be(2, TenantClass::kBestEffort, SloSpec{});
-    be.set_token_rate(20000.0);
+    shared.be_token_rate = 20000.0;
     sched.AddTenant(&lc);
     sched.AddTenant(&be);
 

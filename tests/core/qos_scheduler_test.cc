@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/cost_model.h"
 #include "core/tenant.h"
+#include "sim/random.h"
 #include "sim/time.h"
 
 namespace reflex::core {
@@ -161,7 +163,7 @@ TEST_F(QosSchedulerTest, LcDonatesOnlyExcessAbovePosLimit) {
 
 TEST_F(QosSchedulerTest, BeRequiresTokensBeforeSubmitting) {
   Tenant t(2, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(1000.0);
+  shared_.be_token_rate = 1000.0;
   sched_.AddTenant(&t);
   EnqueueN(&t, 10, ReqType::kRead);
   // First round: dt = 0 => no tokens => nothing may submit (BE tenants
@@ -175,7 +177,7 @@ TEST_F(QosSchedulerTest, BeRequiresTokensBeforeSubmitting) {
 
 TEST_F(QosSchedulerTest, BeClaimsFromGlobalBucket) {
   Tenant t(2, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(0.0);  // no share of its own
+  shared_.be_token_rate = 0.0;  // no share of its own
   sched_.AddTenant(&t);
   EnqueueN(&t, 10, ReqType::kRead);
   shared_.global_bucket.Donate(6.0);
@@ -186,7 +188,7 @@ TEST_F(QosSchedulerTest, BeClaimsFromGlobalBucket) {
 
 TEST_F(QosSchedulerTest, IdleBeDonatesInsteadOfHoarding) {
   Tenant t(2, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(1000.0);
+  shared_.be_token_rate = 1000.0;
   sched_.AddTenant(&t);
   shared_.num_threads = 2;  // defer the end-of-round bucket reset
   // Tenant has no demand; its generated tokens must flow to the global
@@ -223,7 +225,7 @@ TEST_F(QosSchedulerTest, LcServedBeforeBe) {
   Tenant lc(1, TenantClass::kLatencyCritical, SloSpec{});
   Tenant be(2, TenantClass::kBestEffort, SloSpec{});
   lc.set_token_rate(10000.0);
-  be.set_token_rate(10000.0);
+  shared_.be_token_rate = 10000.0;
   sched_.AddTenant(&lc);
   sched_.AddTenant(&be);
   EnqueueN(&lc, 5, ReqType::kRead);
@@ -306,7 +308,7 @@ TEST_F(QosSchedulerTest, TokensSpentTracked) {
 
 TEST_F(QosSchedulerTest, RemoveTenantStopsService) {
   Tenant t(1, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(1e6);
+  shared_.be_token_rate = 1e6;
   sched_.AddTenant(&t);
   EXPECT_EQ(sched_.NumBeTenants(), 1);
   sched_.RemoveTenant(&t);
@@ -350,6 +352,97 @@ TEST_F(QosSchedulerTest, HasPendingDemand) {
   EXPECT_FALSE(sched_.HasPendingDemand());
   EnqueueN(&t, 1, ReqType::kRead);
   EXPECT_TRUE(sched_.HasPendingDemand());
+}
+
+// QueuedRequests(), HasPendingDemand() and be_io() are running
+// counts; after every kind of mutation they must equal a brute-force
+// walk over the tenants each scheduler serves.
+TEST_F(QosSchedulerTest, RunningCountsMatchBruteForce) {
+  shared_.be_token_rate = 20000.0;
+  shared_.num_threads = 2;
+  QosScheduler other(shared_, cost_model_);
+  QosScheduler* scheds[2] = {&sched_, &other};
+  sim::Rng rng(7, "running_counts");
+  std::vector<std::unique_ptr<Tenant>> tenants;
+  std::vector<int> home;  // -1 while unbound
+  for (int i = 0; i < 40; ++i) {
+    tenants.push_back(std::make_unique<Tenant>(
+        i + 1,
+        i % 5 == 0 ? TenantClass::kLatencyCritical : TenantClass::kBestEffort,
+        SloSpec{}));
+    if (tenants.back()->IsLatencyCritical()) {
+      tenants.back()->set_token_rate(50000.0);
+    }
+    home.push_back(i % 2);
+    scheds[i % 2]->AddTenant(tenants.back().get());
+  }
+  auto check = [&](const char* step) {
+    for (int s = 0; s < 2; ++s) {
+      int64_t queued = 0;
+      BeIoTotals io;
+      for (size_t i = 0; i < tenants.size(); ++i) {
+        if (home[i] != s) continue;
+        queued += static_cast<int64_t>(tenants[i]->queue_depth());
+        if (!tenants[i]->IsLatencyCritical()) {
+          io.inflight_bytes += tenants[i]->inflight_bytes();
+          io.completed_bytes += tenants[i]->completed_bytes();
+        }
+      }
+      EXPECT_EQ(scheds[s]->QueuedRequests(), queued) << step << " s=" << s;
+      EXPECT_EQ(scheds[s]->HasPendingDemand(), queued > 0) << step;
+      EXPECT_EQ(scheds[s]->be_io().inflight_bytes, io.inflight_bytes) << step;
+      EXPECT_EQ(scheds[s]->be_io().completed_bytes, io.completed_bytes)
+          << step;
+    }
+  };
+  auto book = [](Tenant& t, PendingIo&& io) {
+    QosScheduler::BookDeviceBytes(t, int64_t{io.msg.sectors} * kSectorBytes,
+                                  0);
+  };
+  TimeNs now = 0;
+  for (int step = 0; step < 400; ++step) {
+    const size_t i = rng.NextBounded(tenants.size());
+    Tenant* t = tenants[i].get();
+    switch (rng.NextBounded(6)) {
+      case 0:
+      case 1:
+        // Unbound tenants may be enqueued to; they count once re-bound.
+        sched_.Enqueue(now, t, MakeIo(ReqType::kRead));
+        check("Enqueue");
+        break;
+      case 2:
+        now += Micros(static_cast<int64_t>(rng.NextBounded(50)));
+        scheds[rng.NextBounded(2)]->RunRound(now, book);
+        check("RunRound");
+        break;
+      case 3:
+        if (home[i] < 0) break;
+        scheds[home[i]]->RemoveTenant(t);
+        home[i] ^= 1;
+        scheds[home[i]]->AddTenant(t);
+        check("RemoveTenant/AddTenant");
+        break;
+      case 4:
+        if (home[i] < 0) {
+          home[i] = static_cast<int>(rng.NextBounded(2));
+          scheds[home[i]]->AddTenant(t);
+          check("AddTenant");
+        } else {
+          scheds[home[i]]->RemoveTenant(t);
+          home[i] = -1;
+          if (rng.NextBernoulli(0.5)) t->TakeQueue();
+          check("RemoveTenant");
+        }
+        break;
+      case 5:
+        // A device completion, booked whether or not t is bound.
+        if (t->inflight_bytes() >= 4096) {
+          QosScheduler::BookDeviceBytes(*t, -4096, 4096);
+          check("BookDeviceBytes");
+        }
+        break;
+    }
+  }
 }
 
 // Regression: with enforcement off, SubmitFront used to book spends

@@ -39,6 +39,8 @@ TEST_P(SchedulerPropertyTest, InvariantsUnderRandomTraffic) {
   sim::Rng rng(seed, "sched_property");
 
   std::vector<std::unique_ptr<Tenant>> tenants;
+  // Every tenant draws a rate. LC tenants keep theirs; BE tenants all
+  // run at the device's one fair share, the first BE tenant's draw.
   double total_rate = 0.0;
   for (int i = 0; i < num_lc + num_be; ++i) {
     const bool lc = i < num_lc;
@@ -47,8 +49,12 @@ TEST_P(SchedulerPropertyTest, InvariantsUnderRandomTraffic) {
         lc ? TenantClass::kLatencyCritical : TenantClass::kBestEffort,
         SloSpec{});
     const double rate = 1000.0 + rng.NextDouble() * 200000.0;
-    t->set_token_rate(rate);
-    total_rate += rate;
+    if (lc) {
+      t->set_token_rate(rate);
+    } else if (i == num_lc) {
+      shared_.be_token_rate = rate;
+    }
+    total_rate += lc ? rate : shared_.be_token_rate;
     sched_.AddTenant(t.get());
     tenants.push_back(std::move(t));
   }

@@ -67,6 +67,21 @@ TEST(GlobalTokenBucketTest, NegativeAndZeroInputsIgnored) {
   EXPECT_DOUBLE_EQ(bucket.TryClaim(0.0), 0.0);
 }
 
+TEST(GlobalTokenBucketTest, DonateEachMatchesRepeatedDonations) {
+  // 0.29 tokens is 289999.99999999994 micro-tokens before rounding:
+  // a batched donation must round each share, not the product.
+  for (double tokens : {0.29, 1e-7, 3.0000004, 0.0, -1.0}) {
+    GlobalTokenBucket one_by_one;
+    GlobalTokenBucket batched;
+    for (int i = 0; i < 1000; ++i) one_by_one.Donate(tokens);
+    batched.DonateEach(1000, tokens);
+    EXPECT_EQ(batched.Tokens(), one_by_one.Tokens()) << tokens;
+  }
+  GlobalTokenBucket bucket;
+  bucket.DonateEach(0, 5.0);
+  EXPECT_DOUBLE_EQ(bucket.Tokens(), 0.0);
+}
+
 TEST(GlobalTokenBucketTest, ResetEmpties) {
   GlobalTokenBucket bucket;
   bucket.Donate(42.0);
