@@ -40,17 +40,30 @@ sim::Task GraphEngine::InitTask(sim::VoidPromise promise) {
   promise.Set(sim::Unit{});
 }
 
-sim::VoidFuture GraphEngine::GatherNeighbors(bool reverse, uint32_t v,
-                                             std::vector<uint32_t>* out) {
-  sim::VoidPromise promise(sim_);
-  auto future = promise.GetFuture();
-  GatherTask(reverse, v, out, std::move(promise));
-  return future;
+namespace {
+
+/**
+ * Appends the 4-byte vertex ids in [byte, end) that lie on `page` (the
+ * cached page holding `byte`) to *out. Returns the first byte not
+ * copied: `end`, or the start of the next page.
+ */
+uint64_t CopyIds(const uint8_t* page, uint64_t byte, uint64_t end,
+                 std::vector<uint32_t>* out) {
+  const uint64_t page_start =
+      byte / PageCache::kPageBytes * PageCache::kPageBytes;
+  const uint64_t take_end = std::min(end, page_start + PageCache::kPageBytes);
+  const size_t old_size = out->size();
+  out->resize(old_size + (take_end - byte) / 4);
+  std::memcpy(out->data() + old_size, page + (byte - page_start),
+              take_end - byte);
+  return take_end;
 }
 
-sim::Task GraphEngine::GatherTask(bool reverse, uint32_t v,
-                                  std::vector<uint32_t>* out,
-                                  sim::VoidPromise promise) {
+}  // namespace
+
+bool GraphEngine::GatherResident(bool reverse, uint32_t v,
+                                 std::vector<uint32_t>* out,
+                                 ByteRange* rest) {
   const std::vector<uint64_t>& index = reverse ? rev_index_ : fwd_index_;
   const uint64_t base =
       reverse ? meta_.rev_edges_offset : meta_.fwd_edges_offset;
@@ -61,19 +74,33 @@ sim::Task GraphEngine::GatherTask(bool reverse, uint32_t v,
   uint64_t byte = base + begin * 4;
   const uint64_t byte_end = base + end * 4;
   while (byte < byte_end) {
-    const uint8_t* page = co_await cache_->GetPage(byte);
+    const uint8_t* page = cache_->TryGetResident(byte);
+    if (page == nullptr) {
+      *rest = ByteRange{byte, byte_end};
+      return false;
+    }
+    byte = CopyIds(page, byte, byte_end, out);
+  }
+  return true;
+}
+
+sim::VoidFuture GraphEngine::GatherRest(ByteRange rest,
+                                        std::vector<uint32_t>* out) {
+  sim::VoidPromise promise(sim_);
+  auto future = promise.GetFuture();
+  GatherTask(rest, out, std::move(promise));
+  return future;
+}
+
+sim::Task GraphEngine::GatherTask(ByteRange rest, std::vector<uint32_t>* out,
+                                  sim::VoidPromise promise) {
+  uint64_t byte = rest.begin;
+  while (byte < rest.end) {
+    const uint8_t* page = cache_->TryGetResident(byte);
+    if (page == nullptr) page = co_await cache_->GetPage(byte);
     // The engine has no redundancy: losing graph storage is fatal.
     REFLEX_CHECK(page != nullptr);
-    const uint64_t page_start = byte / PageCache::kPageBytes *
-                                PageCache::kPageBytes;
-    const uint64_t take_end =
-        std::min(byte_end, page_start + PageCache::kPageBytes);
-    for (uint64_t b = byte; b < take_end; b += 4) {
-      uint32_t value;
-      std::memcpy(&value, page + (b - page_start), 4);
-      out->push_back(value);
-    }
-    byte = take_end;
+    byte = CopyIds(page, byte, rest.end, out);
   }
   promise.Set(sim::Unit{});
 }
@@ -128,7 +155,10 @@ sim::Task GraphEngine::WccWorker(uint32_t* cursor, bool* changed,
     const uint32_t v = (*cursor)++;
     uint32_t best = labels_[v];
     for (int dir = 0; dir < 2; ++dir) {
-      co_await GatherNeighbors(dir == 1, v, &nbrs);
+      ByteRange rest;
+      if (!GatherResident(dir == 1, v, &nbrs, &rest)) {
+        co_await GatherRest(rest, &nbrs);
+      }
       for (uint32_t u : nbrs) best = std::min(best, labels_[u]);
       *edges += static_cast<int64_t>(nbrs.size());
       cpu.pending += options_.cpu_per_edge *
@@ -200,7 +230,10 @@ sim::Task GraphEngine::PageRankWorker(uint32_t* cursor,
   CpuMeter cpu;
   while (*cursor < n) {
     const uint32_t v = (*cursor)++;
-    co_await GatherNeighbors(/*reverse=*/true, v, &nbrs);
+    ByteRange rest;
+    if (!GatherResident(/*reverse=*/true, v, &nbrs, &rest)) {
+      co_await GatherRest(rest, &nbrs);
+    }
     double acc = 0.0;
     for (uint32_t u : nbrs) {
       const uint64_t out_deg = fwd_index_[u + 1] - fwd_index_[u];
@@ -283,7 +316,10 @@ sim::Task GraphEngine::BfsWorker(const std::vector<uint32_t>* frontier,
   CpuMeter cpu;
   while (*cursor < frontier->size()) {
     const uint32_t v = (*frontier)[(*cursor)++];
-    co_await GatherNeighbors(/*reverse=*/false, v, &nbrs);
+    ByteRange rest;
+    if (!GatherResident(/*reverse=*/false, v, &nbrs, &rest)) {
+      co_await GatherRest(rest, &nbrs);
+    }
     for (uint32_t u : nbrs) {
       if (bfs_levels_[u] == -1) next->push_back(u);
     }
@@ -308,12 +344,12 @@ sim::Task GraphEngine::BfsWorker(const std::vector<uint32_t>* frontier,
 // benchmark (largest slowdown in the paper's Figure 7b).
 // ---------------------------------------------------------------------
 
-sim::Task GraphEngine::PrefetchAdjacency(bool reverse, uint32_t v) {
+void GraphEngine::PrefetchAdjacency(bool reverse, uint32_t v) {
   const std::vector<uint64_t>& index = reverse ? rev_index_ : fwd_index_;
-  if (index[v] == index[v + 1]) co_return;
+  if (index[v] == index[v + 1]) return;
   const uint64_t base =
       reverse ? meta_.rev_edges_offset : meta_.fwd_edges_offset;
-  co_await cache_->GetPage(base + index[v] * 4);
+  cache_->Prefetch(base + index[v] * 4);
 }
 
 sim::Future<GraphEngine::AlgoStats> GraphEngine::RunScc() {
@@ -330,6 +366,7 @@ sim::Task GraphEngine::SccTask(sim::Promise<AlgoStats> promise) {
   const uint32_t n = meta_.num_vertices;
   AlgoStats stats;
   CpuMeter cpu;
+  ByteRange rest;  // filled by each gather that falls back to I/O
 
   struct Frame {
     uint32_t v;
@@ -346,7 +383,9 @@ sim::Task GraphEngine::SccTask(sim::Promise<AlgoStats> promise) {
     if (visited[s]) continue;
     visited[s] = true;
     stack.push_back(Frame{s, {}, 0});
-    co_await GatherNeighbors(false, s, &stack.back().nbrs);
+    if (!GatherResident(false, s, &stack.back().nbrs, &rest)) {
+      co_await GatherRest(rest, &stack.back().nbrs);
+    }
     for (uint32_t u : stack.back().nbrs) {
       if (!visited[u]) PrefetchAdjacency(false, u);
     }
@@ -365,7 +404,9 @@ sim::Task GraphEngine::SccTask(sim::Promise<AlgoStats> promise) {
         if (!visited[u]) {
           visited[u] = true;
           stack.push_back(Frame{u, {}, 0});
-          co_await GatherNeighbors(false, u, &stack.back().nbrs);
+          if (!GatherResident(false, u, &stack.back().nbrs, &rest)) {
+            co_await GatherRest(rest, &stack.back().nbrs);
+          }
           for (uint32_t w : stack.back().nbrs) {
             if (!visited[w]) PrefetchAdjacency(false, w);
           }
@@ -392,7 +433,9 @@ sim::Task GraphEngine::SccTask(sim::Promise<AlgoStats> promise) {
     const int32_t comp = num_scc++;
     scc_ids_[*it] = comp;
     stack.push_back(Frame{*it, {}, 0});
-    co_await GatherNeighbors(true, *it, &stack.back().nbrs);
+    if (!GatherResident(true, *it, &stack.back().nbrs, &rest)) {
+      co_await GatherRest(rest, &stack.back().nbrs);
+    }
     for (uint32_t u : stack.back().nbrs) {
       if (scc_ids_[u] == -1) PrefetchAdjacency(true, u);
     }
@@ -411,7 +454,9 @@ sim::Task GraphEngine::SccTask(sim::Promise<AlgoStats> promise) {
         if (scc_ids_[u] == -1) {
           scc_ids_[u] = comp;
           stack.push_back(Frame{u, {}, 0});
-          co_await GatherNeighbors(true, u, &stack.back().nbrs);
+          if (!GatherResident(true, u, &stack.back().nbrs, &rest)) {
+            co_await GatherRest(rest, &stack.back().nbrs);
+          }
           for (uint32_t w : stack.back().nbrs) {
             if (scc_ids_[w] == -1) PrefetchAdjacency(true, w);
           }

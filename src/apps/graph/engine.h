@@ -90,10 +90,23 @@ class GraphEngine {
 
   sim::Task InitTask(sim::VoidPromise promise);
 
-  /** Copies v's (forward or reverse) neighbors into *out. */
-  sim::VoidFuture GatherNeighbors(bool reverse, uint32_t v,
-                                  std::vector<uint32_t>* out);
-  sim::Task GatherTask(bool reverse, uint32_t v, std::vector<uint32_t>* out,
+  /** A byte range of an on-Flash edge section. */
+  struct ByteRange {
+    uint64_t begin = 0;
+    uint64_t end = 0;
+  };
+
+  /**
+   * Copies v's (forward or reverse) neighbors into *out from resident
+   * cache pages, with no coroutine and no future. Returns true when the
+   * whole list was copied. Otherwise stops at the first non-resident
+   * page and sets *rest to the bytes still to gather, for GatherRest.
+   */
+  bool GatherResident(bool reverse, uint32_t v, std::vector<uint32_t>* out,
+                      ByteRange* rest);
+  /** Appends the neighbors in `rest` to *out, awaiting pages as needed. */
+  sim::VoidFuture GatherRest(ByteRange rest, std::vector<uint32_t>* out);
+  sim::Task GatherTask(ByteRange rest, std::vector<uint32_t>* out,
                        sim::VoidPromise promise);
 
   sim::Task WccTask(sim::Promise<AlgoStats> promise);
@@ -110,7 +123,7 @@ class GraphEngine {
                       sim::Barrier* barrier, int64_t* edges);
   sim::Task SccTask(sim::Promise<AlgoStats> promise);
   /** Fire-and-forget adjacency prefetch (DFS lookahead). */
-  sim::Task PrefetchAdjacency(bool reverse, uint32_t v);
+  void PrefetchAdjacency(bool reverse, uint32_t v);
 
   /** Charges accumulated compute once it exceeds the slice size. */
   sim::TimeNs ChargeThreshold() const { return options_.cpu_slice; }

@@ -18,41 +18,59 @@ PageCache::PageCache(sim::Simulator& sim, client::StorageBackend& backend,
   REFLEX_CHECK(capacity_pages >= 1);
   REFLEX_CHECK(readahead_pages >= 0);
   REFLEX_CHECK(retry.max_attempts >= 1);
+  // Resident pages plus a typical number of fetches in flight.
+  table_.reserve(static_cast<size_t>(capacity_pages) +
+                 static_cast<size_t>(max_outstanding));
 }
 
 sim::Future<const uint8_t*> PageCache::GetPage(uint64_t byte_offset) {
-  const uint64_t page_id = byte_offset / kPageBytes;
   sim::Promise<const uint8_t*> promise(sim_);
   auto future = promise.GetFuture();
-
-  // A hit on a readahead-produced page extends its stream so that
-  // steady sequential consumption never stalls.
-  auto stream_it = stream_pages_.find(page_id);
-  if (stream_it != stream_pages_.end()) {
-    stream_pages_.erase(stream_it);
-    StartFetch(page_id + static_cast<uint64_t>(readahead_pages_));
+  if (const uint8_t* page = Access(byte_offset / kPageBytes, &promise)) {
+    promise.Set(page);
   }
+  return future;
+}
 
-  auto it = pages_.find(page_id);
-  if (it != pages_.end()) {
-    ++stats_.hits;
-    Touch(page_id, it->second);
-    promise.Set(it->second.data.get());
-    return future;
+const uint8_t* PageCache::TryGetResident(uint64_t byte_offset) {
+  const uint64_t page_id = byte_offset / kPageBytes;
+  auto it = table_.find(page_id);
+  if (it == table_.end() || !it->second.resident()) return nullptr;
+  if (it->second.stream) {
+    it = ExtendStream(page_id, it);
+    // Only a backend read that completes synchronously could have
+    // evicted the page; the caller's GetPage then takes the miss that
+    // a lone GetPage would have taken after the same extension.
+    if (it == table_.end() || !it->second.resident()) return nullptr;
   }
+  return Hit(it->second);
+}
 
-  auto fl = in_flight_.find(page_id);
-  if (fl != in_flight_.end()) {
+void PageCache::Prefetch(uint64_t byte_offset) {
+  Access(byte_offset / kPageBytes, /*waiter=*/nullptr);
+}
+
+const uint8_t* PageCache::Access(uint64_t page_id,
+                                 sim::Promise<const uint8_t*>* waiter) {
+  auto it = table_.find(page_id);
+  if (it != table_.end() && it->second.stream) {
+    it = ExtendStream(page_id, it);
+  }
+  if (it != table_.end()) {
+    Entry& entry = it->second;
+    if (entry.resident()) return Hit(entry);
     // A fetch is already outstanding; wait for it (counts as a hit:
     // one Flash access serves all waiters).
     ++stats_.hits;
-    fl->second.push_back(std::move(promise));
-    return future;
+    if (waiter != nullptr) entry.waiters.push_back(std::move(*waiter));
+    return nullptr;
   }
 
   ++stats_.misses;
-  auto& waiters = in_flight_[page_id];
-  waiters.push_back(std::move(promise));
+  // Queue the waiter first: a read that fails synchronously resolves
+  // the waiters before Fetch() returns.
+  Entry& entry = table_[page_id];
+  if (waiter != nullptr) entry.waiters.push_back(std::move(*waiter));
   Fetch(page_id);
   // Readahead only on sequential misses (the page following a recent
   // miss), so random access patterns do not flood the device.
@@ -70,21 +88,38 @@ sim::Future<const uint8_t*> PageCache::GetPage(uint64_t byte_offset) {
       StartFetch(page_id + static_cast<uint64_t>(i));
     }
   }
-  return future;
+  return nullptr;
+}
+
+PageCache::PageTable::iterator PageCache::ExtendStream(
+    uint64_t page_id, PageTable::iterator it) {
+  // A hit on a readahead-produced page extends its stream so that
+  // steady sequential consumption never stalls.
+  it->second.stream = false;
+  StartFetch(page_id + static_cast<uint64_t>(readahead_pages_));
+  // The insertion may have rehashed the table.
+  return table_.find(page_id);
+}
+
+const uint8_t* PageCache::Hit(Entry& entry) {
+  ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, entry.lru_it);
+  return entry.data.get();
 }
 
 void PageCache::StartFetch(uint64_t page_id) {
-  if (pages_.count(page_id) > 0 || in_flight_.count(page_id) > 0) return;
+  auto [it, inserted] = table_.try_emplace(page_id);
+  if (!inserted) return;
   ++stats_.readaheads;
-  stream_pages_.insert(page_id);
-  in_flight_.emplace(page_id,
-                     std::vector<sim::Promise<const uint8_t*>>());
+  it->second.stream = true;
   Fetch(page_id);
 }
 
 sim::Task PageCache::Fetch(uint64_t page_id) {
   co_await io_slots_.Acquire();
-  auto data = std::make_unique<uint8_t[]>(kPageBytes);
+  // Left uninitialised: a successful read fills the whole page, and
+  // the buffer of a failed fetch is dropped unread.
+  auto data = std::make_unique_for_overwrite<uint8_t[]>(kPageBytes);
   client::IoResult r;
   int attempt = 0;
   for (;;) {
@@ -94,7 +129,10 @@ sim::Task PageCache::Fetch(uint64_t page_id) {
     // If the range was invalidated while this read was outstanding,
     // the buffer may hold pre-invalidation data: re-read. Does not
     // count against the failure-retry budget.
-    if (invalidated_in_flight_.erase(page_id) > 0) {
+    auto it = table_.find(page_id);
+    REFLEX_CHECK(it != table_.end());
+    if (it->second.invalidated) {
+      it->second.invalidated = false;
       ++stats_.invalidated_refetches;
       continue;
     }
@@ -103,63 +141,54 @@ sim::Task PageCache::Fetch(uint64_t page_id) {
     co_await sim::Delay(sim_, retry_.backoff);
   }
   io_slots_.Release();
+  // Only this fetch erases an in-flight entry, and eviction erases
+  // only resident ones, so `it` stays valid to the end.
+  auto it = table_.find(page_id);
+  REFLEX_CHECK(it != table_.end());
+  std::vector<sim::Promise<const uint8_t*>> waiters =
+      std::move(it->second.waiters);
   if (!r.ok()) {
     // Persistent failure: surface it to the waiters instead of
     // panicking the whole simulation; callers decide whether a
     // missing page is fatal.
     ++stats_.fetch_failures;
-    auto fl = in_flight_.find(page_id);
-    REFLEX_CHECK(fl != in_flight_.end());
-    for (auto& waiter : fl->second) waiter.Set(nullptr);
-    in_flight_.erase(fl);
-    stream_pages_.erase(page_id);
+    table_.erase(it);
+    for (auto& waiter : waiters) waiter.Set(nullptr);
     co_return;
   }
 
   EvictIfNeeded();
-  PageEntry entry;
+  Entry& entry = it->second;
   entry.data = std::move(data);
   lru_.push_front(page_id);
   entry.lru_it = lru_.begin();
-  const uint8_t* raw = entry.data.get();
-  pages_.emplace(page_id, std::move(entry));
-
-  auto fl = in_flight_.find(page_id);
-  REFLEX_CHECK(fl != in_flight_.end());
-  for (auto& waiter : fl->second) waiter.Set(raw);
-  in_flight_.erase(fl);
+  for (auto& waiter : waiters) waiter.Set(entry.data.get());
 }
 
 void PageCache::Invalidate(uint64_t byte_offset, uint64_t bytes) {
   const uint64_t first = byte_offset / kPageBytes;
   const uint64_t last = (byte_offset + bytes + kPageBytes - 1) / kPageBytes;
   for (uint64_t page = first; page < last; ++page) {
-    auto it = pages_.find(page);
-    if (it != pages_.end()) {
+    auto it = table_.find(page);
+    if (it == table_.end()) continue;
+    if (it->second.resident()) {
       lru_.erase(it->second.lru_it);
-      pages_.erase(it);
+      table_.erase(it);
+      continue;
     }
     // A page being fetched right now may complete with data read
     // before this invalidation; flag it so the fetch re-reads instead
     // of inserting stale bytes. Also forget any readahead-stream
     // claim on the range.
-    stream_pages_.erase(page);
-    if (in_flight_.count(page) > 0) invalidated_in_flight_.insert(page);
+    it->second.stream = false;
+    it->second.invalidated = true;
   }
 }
 
-void PageCache::Touch(uint64_t page_id, PageEntry& entry) {
-  lru_.erase(entry.lru_it);
-  lru_.push_front(page_id);
-  entry.lru_it = lru_.begin();
-}
-
 void PageCache::EvictIfNeeded() {
-  while (pages_.size() >= capacity_pages_) {
-    const uint64_t victim = lru_.back();
+  while (lru_.size() >= capacity_pages_) {
+    table_.erase(lru_.back());
     lru_.pop_back();
-    pages_.erase(victim);
-    stream_pages_.erase(victim);
     ++stats_.evictions;
   }
 }

@@ -4,9 +4,8 @@
 #include <cstdint>
 #include <array>
 #include <list>
-#include <map>
 #include <memory>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "client/storage_backend.h"
@@ -69,6 +68,24 @@ class PageCache {
   sim::Future<const uint8_t*> GetPage(uint64_t byte_offset);
 
   /**
+   * Synchronous hit path. If the page is resident, does exactly what
+   * GetPage does for it -- extends its readahead stream, counts the
+   * hit, touches its LRU position -- and returns it, valid until
+   * evicted. Otherwise returns nullptr having changed nothing a
+   * GetPage(byte_offset) would not change first, so a caller that
+   * falls back to GetPage on nullptr sees exactly what a lone GetPage
+   * would have produced.
+   */
+  const uint8_t* TryGetResident(uint64_t byte_offset);
+
+  /**
+   * GetPage with the result discarded: the same hit, miss and
+   * readahead accounting and the same fetch, but no waiter is queued
+   * on it, so nothing wakes up when the page arrives.
+   */
+  void Prefetch(uint64_t byte_offset);
+
+  /**
    * Drops any cached pages overlapping [byte_offset, byte_offset +
    * bytes). Callers must invalidate before re-using a storage range
    * for new data (e.g. the LSM store recycling a compacted extent).
@@ -79,14 +96,45 @@ class PageCache {
   uint32_t capacity_pages() const { return capacity_pages_; }
 
  private:
-  struct PageEntry {
+  /** One page-table entry: a page that is resident or being fetched. */
+  struct Entry {
+    /** The page's bytes once resident; null while it is in flight. */
     std::unique_ptr<uint8_t[]> data;
+    /** Position in lru_; meaningful only while resident. */
     std::list<uint64_t>::iterator lru_it;
-  };
+    /** GetPage callers queued behind the in-flight fetch. */
+    std::vector<sim::Promise<const uint8_t*>> waiters;
+    /** Fetched by readahead and not yet hit: a hit extends the stream. */
+    bool stream = false;
+    /**
+     * Invalidated after its fetch was issued: the outstanding read may
+     * return pre-invalidation data, so the fetch re-reads the backend
+     * before inserting into the cache.
+     */
+    bool invalidated = false;
 
+    bool resident() const { return data != nullptr; }
+  };
+  // detlint: allow(unordered-container) the page table is only looked
+  // up, inserted into and erased from, never iterated, so hash layout
+  // can never reach event order.
+  using PageTable = std::unordered_map<uint64_t, Entry>;
+
+  /**
+   * GetPage's body: extends a readahead stream, counts the hit or
+   * miss, and touches or fetches the page. Returns the page if
+   * resident; otherwise queues `waiter` (when non-null) on its fetch.
+   */
+  const uint8_t* Access(uint64_t page_id,
+                        sim::Promise<const uint8_t*>* waiter);
+  /**
+   * Clears `it`'s stream claim and fetches the page readahead_pages_
+   * past it. Returns `it` looked up afresh (end() if it is gone).
+   */
+  PageTable::iterator ExtendStream(uint64_t page_id, PageTable::iterator it);
+  const uint8_t* Hit(Entry& entry);
   sim::Task Fetch(uint64_t page_id);
   void StartFetch(uint64_t page_id);
-  void Touch(uint64_t page_id, PageEntry& entry);
   void EvictIfNeeded();
 
   sim::Simulator& sim_;
@@ -98,19 +146,9 @@ class PageCache {
   /** Recent miss pages, for sequential-pattern detection. */
   std::array<uint64_t, 8> recent_misses_{};
   size_t recent_cursor_ = 0;
-  /** Pages fetched by readahead; a hit on one extends its stream. */
-  std::set<uint64_t> stream_pages_;
 
-  std::map<uint64_t, PageEntry> pages_;
-  std::list<uint64_t> lru_;  // front = most recent
-  /** Pages currently being fetched: waiters queue behind the fetch. */
-  std::map<uint64_t, std::vector<sim::Promise<const uint8_t*>>> in_flight_;
-  /**
-   * In-flight pages invalidated after their fetch was issued: the
-   * outstanding read may return pre-invalidation data, so the fetch
-   * re-reads the backend before inserting into the cache.
-   */
-  std::set<uint64_t> invalidated_in_flight_;
+  PageTable table_;
+  std::list<uint64_t> lru_;  // resident pages, front = most recent
   Stats stats_;
 };
 

@@ -5,30 +5,7 @@
 
 namespace reflex::sim {
 
-namespace {
-LogLevel g_level = LogLevel::kWarn;
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-  }
-  return "?";
-}
-}  // namespace
-
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
-
 namespace internal {
-
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& msg) {
-  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level), file, line,
-               msg.c_str());
-}
 
 void FatalMessage(const char* kind, const char* file, int line,
                   const std::string& msg) {

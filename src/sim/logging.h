@@ -7,25 +7,7 @@
 
 namespace reflex::sim {
 
-/**
- * Severity levels for simulation logging.
- *
- * Following the gem5 convention: `Fatal` is for user errors that make
- * continuing impossible (bad configuration, inadmissible SLOs given to
- * an API that demands validity); `Panic` is for internal invariant
- * violations, i.e. bugs in this library.
- */
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-/** Returns the process-wide minimum level that will be printed. */
-LogLevel GetLogLevel();
-
-/** Sets the process-wide minimum level that will be printed. */
-void SetLogLevel(LogLevel level);
-
 namespace internal {
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& msg);
 [[noreturn]] void FatalMessage(const char* kind, const char* file, int line,
                                const std::string& msg);
 std::string FormatV(const char* fmt, ...)
@@ -34,21 +16,10 @@ std::string FormatV(const char* fmt, ...)
 
 }  // namespace reflex::sim
 
-/** Logs a printf-style message at the given level. */
-#define REFLEX_LOG(level, ...)                                       \
-  do {                                                               \
-    if (static_cast<int>(level) >=                                   \
-        static_cast<int>(::reflex::sim::GetLogLevel())) {            \
-      ::reflex::sim::internal::LogMessage(                           \
-          level, __FILE__, __LINE__,                                 \
-          ::reflex::sim::internal::FormatV(__VA_ARGS__));            \
-    }                                                                \
-  } while (0)
-
-#define REFLEX_DEBUG(...) REFLEX_LOG(::reflex::sim::LogLevel::kDebug, __VA_ARGS__)
-#define REFLEX_INFO(...) REFLEX_LOG(::reflex::sim::LogLevel::kInfo, __VA_ARGS__)
-#define REFLEX_WARN(...) REFLEX_LOG(::reflex::sim::LogLevel::kWarn, __VA_ARGS__)
-#define REFLEX_ERROR(...) REFLEX_LOG(::reflex::sim::LogLevel::kError, __VA_ARGS__)
+// Following the gem5 convention: `Fatal` is for user errors that make
+// continuing impossible (bad configuration, inadmissible SLOs given to
+// an API that demands validity); `Panic` is for internal invariant
+// violations, i.e. bugs in this library.
 
 /**
  * Terminates the process due to a user error (bad configuration or
