@@ -41,12 +41,10 @@ BaselineCosts BaselineCosts::Iscsi(int server_threads) {
 KernelStorageServer::KernelStorageServer(
     sim::Simulator& sim, net::Network& net, net::Machine* client_machine,
     net::Machine* server_machine, flash::FlashDevice& device,
-    BaselineCosts costs, int num_connections, const char* name,
-    uint64_t seed)
+    BaselineCosts costs, int num_connections, uint64_t seed)
     : sim_(sim),
       device_(device),
       costs_(costs),
-      name_(name),
       rng_(seed, "kernel_server"),
       qp_(device.AllocQueuePair()),
       server_core_free_(costs.server_threads, 0) {
@@ -63,14 +61,19 @@ KernelStorageServer::~KernelStorageServer() {
   if (qp_->Outstanding() == 0) device_.FreeQueuePair(qp_);
 }
 
-sim::Future<client::IoResult> KernelStorageServer::SubmitIo(
-    const client::IoDesc& io) {
+sim::Future<client::IoResult> KernelStorageServer::Submit(bool is_read,
+                                                          uint64_t lba,
+                                                          uint32_t sectors,
+                                                          uint8_t* data,
+                                                          int lane) {
+  REFLEX_CHECK(lane < num_lanes());
+  if (lane < 0) {
+    lane = next_conn_;
+    next_conn_ = (next_conn_ + 1) % num_lanes();
+  }
   sim::Promise<client::IoResult> promise(sim_);
   auto future = promise.GetFuture();
-  const int conn = next_conn_;
-  next_conn_ = (next_conn_ + 1) % static_cast<int>(conns_.size());
-  DoIo(conn, io.is_read(), io.lba, io.sectors, io.data,
-       std::move(promise));
+  DoIo(lane, is_read, lba, sectors, data, std::move(promise));
   return future;
 }
 

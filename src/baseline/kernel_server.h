@@ -5,7 +5,8 @@
 #include <memory>
 #include <vector>
 
-#include "client/flash_service.h"
+#include "client/io_result.h"
+#include "client/io_session.h"
 #include "flash/flash_device.h"
 #include "net/network.h"
 #include "net/stack_costs.h"
@@ -68,22 +69,46 @@ struct BaselineCosts {
  * client -> TCP -> server event loop -> Flash -> back. Server threads
  * are FIFO CPU resources, so per-core IOPS ceilings and queueing
  * latency under load emerge naturally (Figure 4 "Libaio-nT").
+ *
+ * As an IoSession, lane k is TCP connection k; geometry comes from the
+ * device profile and the tenant handle is always 0 (no tenants).
  */
-class KernelStorageServer : public client::FlashService {
+class KernelStorageServer : public client::IoSession {
  public:
   KernelStorageServer(sim::Simulator& sim, net::Network& net,
                       net::Machine* client_machine,
                       net::Machine* server_machine,
                       flash::FlashDevice& device, BaselineCosts costs,
-                      int num_connections, const char* name,
-                      uint64_t seed = 55);
+                      int num_connections, uint64_t seed = 55);
   ~KernelStorageServer() override;
 
-  sim::Future<client::IoResult> SubmitIo(const client::IoDesc& io) override;
+  sim::Future<client::IoResult> Read(uint64_t lba, uint32_t sectors,
+                                     uint8_t* data = nullptr,
+                                     int lane = -1) override {
+    return Submit(/*is_read=*/true, lba, sectors, data, lane);
+  }
+  sim::Future<client::IoResult> Write(uint64_t lba, uint32_t sectors,
+                                      uint8_t* data = nullptr,
+                                      int lane = -1) override {
+    return Submit(/*is_read=*/false, lba, sectors, data, lane);
+  }
 
-  const char* name() const override { return name_; }
+  uint32_t tenant_handle() const override { return 0; }
+  int num_lanes() const override { return static_cast<int>(conns_.size()); }
+  uint64_t capacity_sectors() const override {
+    return device_.profile().capacity_sectors;
+  }
+  uint32_t sector_bytes() const override {
+    return device_.profile().sector_bytes;
+  }
+  uint32_t sectors_per_page() const override {
+    return device_.profile().SectorsPerPage();
+  }
 
  private:
+  sim::Future<client::IoResult> Submit(bool is_read, uint64_t lba,
+                                       uint32_t sectors, uint8_t* data,
+                                       int lane);
   sim::Task DoIo(int conn_index, bool is_read, uint64_t lba,
                  uint32_t sectors, uint8_t* data,
                  sim::Promise<client::IoResult> promise);
@@ -91,7 +116,6 @@ class KernelStorageServer : public client::FlashService {
   sim::Simulator& sim_;
   flash::FlashDevice& device_;
   BaselineCosts costs_;
-  const char* name_;
   sim::Rng rng_;
   flash::QueuePair* qp_;
   std::vector<std::unique_ptr<net::TcpConnection>> conns_;

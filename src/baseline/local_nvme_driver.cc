@@ -29,13 +29,19 @@ LocalNvmeDriver::~LocalNvmeDriver() {
   }
 }
 
-sim::Future<client::IoResult> LocalNvmeDriver::SubmitIo(
-    const client::IoDesc& io) {
+sim::Future<client::IoResult> LocalNvmeDriver::Submit(bool is_read,
+                                                      uint64_t lba,
+                                                      uint32_t sectors,
+                                                      uint8_t* data,
+                                                      int lane) {
+  REFLEX_CHECK(lane < num_lanes());
+  if (lane < 0) {
+    lane = next_ctx_;
+    next_ctx_ = (next_ctx_ + 1) % num_lanes();
+  }
   sim::Promise<client::IoResult> promise(sim_);
   auto future = promise.GetFuture();
-  const int ctx = next_ctx_;
-  next_ctx_ = (next_ctx_ + 1) % options_.num_contexts;
-  DoIo(ctx, io.is_read(), io.lba, io.sectors, io.data, std::move(promise));
+  DoIo(lane, is_read, lba, sectors, data, std::move(promise));
   return future;
 }
 

@@ -4,7 +4,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "client/flash_service.h"
+#include "client/io_result.h"
+#include "client/io_session.h"
 #include "flash/flash_device.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -18,8 +19,11 @@ namespace reflex::baseline {
  * (blk-mq contexts, one per core), interrupt-driven completions and
  * per-request kernel CPU costs. Slower per-core than SPDK polling but
  * scales with contexts until the device saturates.
+ *
+ * As an IoSession, lane k is blk-mq context k; geometry comes from the
+ * device profile and the tenant handle is always 0 (no tenants).
  */
-class LocalNvmeDriver : public client::FlashService {
+class LocalNvmeDriver : public client::IoSession {
  public:
   struct Options {
     /** blk-mq hardware contexts (application threads). */
@@ -41,11 +45,33 @@ class LocalNvmeDriver : public client::FlashService {
                   Options options);
   ~LocalNvmeDriver() override;
 
-  sim::Future<client::IoResult> SubmitIo(const client::IoDesc& io) override;
+  sim::Future<client::IoResult> Read(uint64_t lba, uint32_t sectors,
+                                     uint8_t* data = nullptr,
+                                     int lane = -1) override {
+    return Submit(/*is_read=*/true, lba, sectors, data, lane);
+  }
+  sim::Future<client::IoResult> Write(uint64_t lba, uint32_t sectors,
+                                      uint8_t* data = nullptr,
+                                      int lane = -1) override {
+    return Submit(/*is_read=*/false, lba, sectors, data, lane);
+  }
 
-  const char* name() const override { return "Local (kernel NVMe)"; }
+  uint32_t tenant_handle() const override { return 0; }
+  int num_lanes() const override { return options_.num_contexts; }
+  uint64_t capacity_sectors() const override {
+    return device_.profile().capacity_sectors;
+  }
+  uint32_t sector_bytes() const override {
+    return device_.profile().sector_bytes;
+  }
+  uint32_t sectors_per_page() const override {
+    return device_.profile().SectorsPerPage();
+  }
 
  private:
+  sim::Future<client::IoResult> Submit(bool is_read, uint64_t lba,
+                                       uint32_t sectors, uint8_t* data,
+                                       int lane);
   struct Context {
     flash::QueuePair* qp = nullptr;
     sim::TimeNs submit_free = 0;

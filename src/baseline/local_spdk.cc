@@ -26,14 +26,19 @@ LocalSpdkService::~LocalSpdkService() {
   }
 }
 
-sim::Future<client::IoResult> LocalSpdkService::SubmitIo(
-    const client::IoDesc& io) {
+sim::Future<client::IoResult> LocalSpdkService::Submit(bool is_read,
+                                                       uint64_t lba,
+                                                       uint32_t sectors,
+                                                       uint8_t* data,
+                                                       int lane) {
+  REFLEX_CHECK(lane < num_lanes());
+  if (lane < 0) {
+    lane = next_thread_;
+    next_thread_ = (next_thread_ + 1) % num_lanes();
+  }
   sim::Promise<client::IoResult> promise(sim_);
   auto future = promise.GetFuture();
-  const int thread = next_thread_;
-  next_thread_ = (next_thread_ + 1) % options_.num_threads;
-  DoIo(thread, io.is_read(), io.lba, io.sectors, io.data,
-       std::move(promise));
+  DoIo(lane, is_read, lba, sectors, data, std::move(promise));
   return future;
 }
 

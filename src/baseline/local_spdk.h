@@ -4,7 +4,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "client/flash_service.h"
+#include "client/io_result.h"
+#include "client/io_session.h"
 #include "flash/flash_device.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
@@ -18,8 +19,11 @@ namespace reflex::baseline {
  * queue pair; the per-request CPU cost reproduces the paper's
  * observation that one core sustains ~870K IOPS and two cores saturate
  * a 1M IOPS device.
+ *
+ * As an IoSession, lane k is polling thread k; geometry comes from the
+ * device profile and the tenant handle is always 0 (no tenants).
  */
-class LocalSpdkService : public client::FlashService {
+class LocalSpdkService : public client::IoSession {
  public:
   struct Options {
     int num_threads = 1;
@@ -34,11 +38,33 @@ class LocalSpdkService : public client::FlashService {
                    Options options);
   ~LocalSpdkService() override;
 
-  sim::Future<client::IoResult> SubmitIo(const client::IoDesc& io) override;
+  sim::Future<client::IoResult> Read(uint64_t lba, uint32_t sectors,
+                                     uint8_t* data = nullptr,
+                                     int lane = -1) override {
+    return Submit(/*is_read=*/true, lba, sectors, data, lane);
+  }
+  sim::Future<client::IoResult> Write(uint64_t lba, uint32_t sectors,
+                                      uint8_t* data = nullptr,
+                                      int lane = -1) override {
+    return Submit(/*is_read=*/false, lba, sectors, data, lane);
+  }
 
-  const char* name() const override { return "Local (SPDK)"; }
+  uint32_t tenant_handle() const override { return 0; }
+  int num_lanes() const override { return options_.num_threads; }
+  uint64_t capacity_sectors() const override {
+    return device_.profile().capacity_sectors;
+  }
+  uint32_t sector_bytes() const override {
+    return device_.profile().sector_bytes;
+  }
+  uint32_t sectors_per_page() const override {
+    return device_.profile().SectorsPerPage();
+  }
 
  private:
+  sim::Future<client::IoResult> Submit(bool is_read, uint64_t lba,
+                                       uint32_t sectors, uint8_t* data,
+                                       int lane);
   sim::Task DoIo(int thread, bool is_read, uint64_t lba, uint32_t sectors,
                  uint8_t* data, sim::Promise<client::IoResult> promise);
 

@@ -34,16 +34,6 @@ uint64_t BlockDevice::CapacityBytes() const {
   return server_.device().profile().capacity_sectors * core::kSectorBytes;
 }
 
-sim::Future<IoResult> BlockDevice::Read(uint64_t byte_offset, uint32_t bytes,
-                                        uint8_t* data) {
-  return SubmitSplit(/*is_read=*/true, byte_offset, bytes, data);
-}
-
-sim::Future<IoResult> BlockDevice::Write(uint64_t byte_offset,
-                                         uint32_t bytes, uint8_t* data) {
-  return SubmitSplit(/*is_read=*/false, byte_offset, bytes, data);
-}
-
 sim::Future<IoResult> BlockDevice::SubmitSplit(bool is_read,
                                                uint64_t byte_offset,
                                                uint32_t bytes,
@@ -90,14 +80,6 @@ sim::Future<IoResult> BlockDevice::SubmitSplit(bool is_read,
   sim::Promise<IoResult> promise(sim_);
   auto future = promise.GetFuture();
   JoinChunks(barrier, status, sim_.Now(), std::move(promise));
-
-  if (is_read) {
-    ++reads_completed_;
-    bytes_read_ += bytes;
-  } else {
-    ++writes_completed_;
-    bytes_written_ += bytes;
-  }
   return future;
 }
 

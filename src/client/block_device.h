@@ -72,33 +72,22 @@ class BlockDevice : public StorageBackend {
               Options options);
 
   /**
-   * Reads `bytes` at `byte_offset`. When `data` is non-null both must
-   * be 512-aligned. Resolves when the application would observe the
-   * completion.
+   * StorageBackend interface. When `data` is non-null, `offset` and
+   * `bytes` must be 512-aligned. The future resolves when the
+   * application would observe the completion.
    */
-  sim::Future<IoResult> Read(uint64_t byte_offset, uint32_t bytes,
-                             uint8_t* data = nullptr);
-
-  /** Writes; see Read(). */
-  sim::Future<IoResult> Write(uint64_t byte_offset, uint32_t bytes,
-                              uint8_t* data = nullptr);
-
-  // StorageBackend interface.
   sim::Future<IoResult> ReadBytes(uint64_t offset, uint32_t bytes,
                                   uint8_t* data) override {
-    return Read(offset, bytes, data);
+    return SubmitSplit(/*is_read=*/true, offset, bytes, data);
   }
   sim::Future<IoResult> WriteBytes(uint64_t offset, uint32_t bytes,
                                    const uint8_t* data) override {
-    return Write(offset, bytes, const_cast<uint8_t*>(data));
+    return SubmitSplit(/*is_read=*/false, offset, bytes,
+                       const_cast<uint8_t*>(data));
   }
   uint64_t CapacityBytes() const override;
   const char* name() const override { return "ReFlex (block device)"; }
 
-  int64_t reads_completed() const { return reads_completed_; }
-  int64_t writes_completed() const { return writes_completed_; }
-  int64_t bytes_read() const { return bytes_read_; }
-  int64_t bytes_written() const { return bytes_written_; }
   /** Chunks re-issued after a transient failure. */
   int64_t requeues() const { return requeues_; }
 
@@ -130,11 +119,6 @@ class BlockDevice : public StorageBackend {
   std::unique_ptr<TenantSession> session_;
   std::vector<Context> contexts_;
   int next_ctx_ = 0;
-
-  int64_t reads_completed_ = 0;
-  int64_t writes_completed_ = 0;
-  int64_t bytes_read_ = 0;
-  int64_t bytes_written_ = 0;
   int64_t requeues_ = 0;
 };
 

@@ -8,6 +8,9 @@
 
 namespace reflex::client {
 
+/** Direction of one Flash I/O. */
+enum class IoOp : uint8_t { kRead, kWrite };
+
 /**
  * A tenant's block I/O endpoint, independent of how many servers stand
  * behind it. TenantSession (one ReFlex server) and

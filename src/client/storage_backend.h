@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "client/flash_service.h"
 #include "client/io_result.h"
 #include "client/io_session.h"
 #include "core/protocol.h"
@@ -13,11 +12,13 @@ namespace reflex::client {
 
 /**
  * Byte-addressed storage interface used by the applications (FIO, the
- * graph engine, the LSM key-value store). Implemented by the legacy
- * BlockDevice driver (remote ReFlex) and by ServiceStorageAdapter for
- * any FlashService (local NVMe, iSCSI), so each application runs
- * unmodified on every system under comparison -- exactly how the
- * paper's Figure 7 swaps block devices under unchanged binaries.
+ * graph engine, the LSM key-value store). Two implementations: the
+ * BlockDevice driver (remote ReFlex through the kernel block layer)
+ * and SessionStorageBackend over any sector-addressed IoSession (local
+ * SPDK, local kernel NVMe, iSCSI, libaio, a ReFlex tenant or a
+ * cluster), so each application runs unmodified on every system under
+ * comparison -- exactly how the paper's Figure 7 swaps block devices
+ * under unchanged binaries.
  */
 class StorageBackend {
  public:
@@ -35,40 +36,6 @@ class StorageBackend {
   virtual uint64_t CapacityBytes() const = 0;
 
   virtual const char* name() const = 0;
-};
-
-/** Adapts a sector-addressed FlashService to the byte interface. */
-class ServiceStorageAdapter : public StorageBackend {
- public:
-  ServiceStorageAdapter(FlashService& service, uint64_t capacity_bytes)
-      : service_(service), capacity_bytes_(capacity_bytes) {}
-
-  sim::Future<IoResult> ReadBytes(uint64_t offset, uint32_t bytes,
-                                  uint8_t* data) override {
-    return service_.SubmitIo(IoDesc::Read(offset / core::kSectorBytes,
-                                          SectorsFor(offset, bytes), data));
-  }
-
-  sim::Future<IoResult> WriteBytes(uint64_t offset, uint32_t bytes,
-                                   const uint8_t* data) override {
-    return service_.SubmitIo(
-        IoDesc::Write(offset / core::kSectorBytes, SectorsFor(offset, bytes),
-                      const_cast<uint8_t*>(data)));
-  }
-
-  uint64_t CapacityBytes() const override { return capacity_bytes_; }
-  const char* name() const override { return service_.name(); }
-
- private:
-  static uint32_t SectorsFor(uint64_t offset, uint32_t bytes) {
-    const uint64_t first = offset / core::kSectorBytes;
-    const uint64_t end =
-        (offset + bytes + core::kSectorBytes - 1) / core::kSectorBytes;
-    return static_cast<uint32_t>(end - first);
-  }
-
-  FlashService& service_;
-  uint64_t capacity_bytes_;
 };
 
 /**

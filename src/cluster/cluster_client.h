@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "client/flash_service.h"
 #include "client/io_result.h"
 #include "client/io_session.h"
 #include "client/reflex_client.h"

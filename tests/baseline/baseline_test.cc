@@ -5,7 +5,7 @@
 #include "baseline/kernel_server.h"
 #include "baseline/local_nvme_driver.h"
 #include "baseline/local_spdk.h"
-#include "client/flash_service.h"
+#include "client/io_session.h"
 #include "client/load_generator.h"
 #include "client/reflex_client.h"
 #include "sim/histogram.h"
@@ -14,32 +14,32 @@
 namespace reflex::baseline {
 namespace {
 
-using client::FlashService;
+using client::IoSession;
 using client::IoResult;
 using sim::Micros;
 using sim::Millis;
 using sim::TimeNs;
 using testing::Harness;
 
-/** QD-1 probe over any FlashService; returns (avg, p95) read us. */
-sim::Histogram ProbeReads(Harness& h, FlashService& service, int samples) {
+/** QD-1 probe over any IoSession; returns (avg, p95) read us. */
+sim::Histogram ProbeReads(Harness& h, IoSession& session, int samples) {
   sim::Histogram hist;
   sim::Rng rng(7, "probe");
   for (int i = 0; i < samples; ++i) {
     const uint64_t lba = rng.NextBounded(1000000) * 8;
-    auto f = service.SubmitIo(client::IoDesc::Read(lba, 8));
+    auto f = session.Read(lba, 8);
     EXPECT_TRUE(h.RunUntilReady([&] { return f.Ready(); }));
     hist.Record(f.Get().Latency());
   }
   return hist;
 }
 
-sim::Histogram ProbeWrites(Harness& h, FlashService& service, int samples) {
+sim::Histogram ProbeWrites(Harness& h, IoSession& session, int samples) {
   sim::Histogram hist;
   sim::Rng rng(8, "probe_w");
   for (int i = 0; i < samples; ++i) {
     const uint64_t lba = rng.NextBounded(1000000) * 8;
-    auto f = service.SubmitIo(client::IoDesc::Write(lba, 8));
+    auto f = session.Write(lba, 8);
     EXPECT_TRUE(h.RunUntilReady([&] { return f.Ready(); }));
     hist.Record(f.Get().Latency());
   }
@@ -63,7 +63,7 @@ TEST(BaselineTest, IscsiUnloadedLatencyMatchesTable2) {
   Harness h;
   KernelStorageServer iscsi(h.sim, h.net, h.client_machine,
                             h.server_machine, h.device,
-                            BaselineCosts::Iscsi(), 4, "iSCSI");
+                            BaselineCosts::Iscsi(), 4);
   auto reads = ProbeReads(h, iscsi, 300);
   // Table 2 iSCSI: 211us avg / 251us p95 reads (2.8x local).
   EXPECT_GT(reads.Mean() / 1e3, 170.0);
@@ -78,8 +78,7 @@ TEST(BaselineTest, LibaioUnloadedLatencyMatchesTable2) {
   Harness h;
   KernelStorageServer libaio(
       h.sim, h.net, h.client_machine, h.server_machine, h.device,
-      BaselineCosts::Libaio(net::StackCosts::IxDataplane()), 4,
-      "Libaio (IX client)");
+      BaselineCosts::Libaio(net::StackCosts::IxDataplane()), 4);
   auto reads = ProbeReads(h, libaio, 300);
   // Table 2 Libaio + IX client: 121us avg / 139us p95 reads.
   EXPECT_NEAR(reads.Mean() / 1e3, 121.0, 18.0);
@@ -94,16 +93,15 @@ TEST(BaselineTest, Table2OrderingHolds) {
   copts.stack = net::StackCosts::IxDataplane();
   client::ReflexClient rclient(h.sim, h.server, h.client_machine, copts);
   auto session = rclient.AttachSession(tenant->handle());
-  client::ReflexService reflex(*session);
   KernelStorageServer libaio(
       h.sim, h.net, h.client_machine, h.server_machine, h.device,
-      BaselineCosts::Libaio(net::StackCosts::IxDataplane()), 2, "libaio");
+      BaselineCosts::Libaio(net::StackCosts::IxDataplane()), 2);
   KernelStorageServer iscsi(h.sim, h.net, h.client_machine,
                             h.server_machine, h.device,
-                            BaselineCosts::Iscsi(), 2, "iscsi");
+                            BaselineCosts::Iscsi(), 2);
 
   const double local_us = ProbeReads(h, local, 200).Mean() / 1e3;
-  const double reflex_us = ProbeReads(h, reflex, 200).Mean() / 1e3;
+  const double reflex_us = ProbeReads(h, *session, 200).Mean() / 1e3;
   const double libaio_us = ProbeReads(h, libaio, 200).Mean() / 1e3;
   const double iscsi_us = ProbeReads(h, iscsi, 200).Mean() / 1e3;
 
@@ -114,12 +112,12 @@ TEST(BaselineTest, Table2OrderingHolds) {
   EXPECT_NEAR(reflex_us - local_us, 21.0, 8.0);
 }
 
-sim::Task SaturateService(sim::Simulator& sim, FlashService& service,
+sim::Task SaturateSession(sim::Simulator& sim, IoSession& session,
                           TimeNs end, int64_t* completed, uint64_t salt) {
   sim::Rng rng(salt, "saturate");
   while (sim.Now() < end) {
     const uint64_t lba = rng.NextBounded(1000000) * 8;
-    auto f = co_await service.SubmitIo(client::IoDesc::Read(lba, 2));  // 1KB
+    auto f = co_await session.Read(lba, 2);  // 1KB
     (void)f;
     ++*completed;
   }
@@ -129,12 +127,11 @@ TEST(BaselineTest, LibaioServerIopsPerCoreNear75K) {
   Harness h;
   KernelStorageServer libaio(
       h.sim, h.net, h.client_machine, h.server_machine, h.device,
-      BaselineCosts::Libaio(net::StackCosts::IxDataplane(), 1), 64,
-      "libaio");
+      BaselineCosts::Libaio(net::StackCosts::IxDataplane(), 1), 64);
   int64_t completed = 0;
   const TimeNs end = Millis(300);
   for (int q = 0; q < 256; ++q) {
-    SaturateService(h.sim, libaio, end, &completed, q);
+    SaturateSession(h.sim, libaio, end, &completed, q);
   }
   h.sim.RunUntil(end + Millis(100));
   const double iops = static_cast<double>(completed) / sim::ToSeconds(end);
@@ -151,7 +148,7 @@ TEST(BaselineTest, LocalSpdkSingleCoreNear870K) {
   int64_t completed = 0;
   const TimeNs end = Millis(200);
   for (int q = 0; q < 512; ++q) {
-    SaturateService(h.sim, local, end, &completed, q);
+    SaturateSession(h.sim, local, end, &completed, q);
   }
   h.sim.RunUntil(end + Millis(100));
   const double iops = static_cast<double>(completed) / sim::ToSeconds(end);
@@ -168,7 +165,7 @@ TEST(BaselineTest, LocalSpdkTwoCoresSaturateDevice) {
   int64_t completed = 0;
   const TimeNs end = Millis(200);
   for (int q = 0; q < 1024; ++q) {
-    SaturateService(h.sim, local, end, &completed, q);
+    SaturateSession(h.sim, local, end, &completed, q);
   }
   h.sim.RunUntil(end + Millis(100));
   const double iops = static_cast<double>(completed) / sim::ToSeconds(end);

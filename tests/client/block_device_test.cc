@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "sim/fault.h"
 #include "testing/harness.h"
 
 namespace reflex::client {
@@ -33,12 +34,12 @@ TEST_F(BlockDeviceTest, DataRoundTrip) {
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = static_cast<uint8_t>(i * 13);
   }
-  auto w = bdev.Write(1 << 20, 8192, out.data());
+  auto w = bdev.WriteBytes(1 << 20, 8192, out.data());
   ASSERT_TRUE(harness_.RunUntilReady([&] { return w.Ready(); }));
   ASSERT_TRUE(w.Get().ok());
 
   std::vector<uint8_t> in(8192, 0);
-  auto r = bdev.Read(1 << 20, 8192, in.data());
+  auto r = bdev.ReadBytes(1 << 20, 8192, in.data());
   ASSERT_TRUE(harness_.RunUntilReady([&] { return r.Ready(); }));
   ASSERT_TRUE(r.Get().ok());
   EXPECT_EQ(std::memcmp(in.data(), out.data(), 8192), 0);
@@ -52,11 +53,11 @@ TEST_F(BlockDeviceTest, LargeRequestSplitAcrossContexts) {
   for (size_t i = 0; i < out.size(); ++i) {
     out[i] = static_cast<uint8_t>(i % 251);
   }
-  auto w = bdev.Write(0, 1 << 20, out.data());
+  auto w = bdev.WriteBytes(0, 1 << 20, out.data());
   ASSERT_TRUE(harness_.RunUntilReady([&] { return w.Ready(); }));
   ASSERT_TRUE(w.Get().ok());
   std::vector<uint8_t> in(1 << 20, 0);
-  auto r = bdev.Read(0, 1 << 20, in.data());
+  auto r = bdev.ReadBytes(0, 1 << 20, in.data());
   ASSERT_TRUE(harness_.RunUntilReady([&] { return r.Ready(); }));
   ASSERT_TRUE(r.Get().ok());
   EXPECT_EQ(in, out);
@@ -69,7 +70,7 @@ TEST_F(BlockDeviceTest, UnloadedLatencyIncludesKernelPath) {
   BlockDevice bdev = MakeDevice();
   sim::Histogram lat;
   for (int i = 0; i < 200; ++i) {
-    auto r = bdev.Read(static_cast<uint64_t>(i) * 4096, 4096, nullptr);
+    auto r = bdev.ReadBytes(static_cast<uint64_t>(i) * 4096, 4096, nullptr);
     ASSERT_TRUE(harness_.RunUntilReady([&] { return r.Ready(); }));
     lat.Record(r.Get().Latency());
   }
@@ -82,7 +83,8 @@ sim::Task ClosedLoopReader(sim::Simulator& sim, BlockDevice& bdev,
                            uint64_t salt) {
   uint64_t i = 0;
   while (sim.Now() < end) {
-    co_await bdev.Read(4096 * ((salt * 977 + i++) % 4096), 4096, nullptr);
+    co_await bdev.ReadBytes(4096 * ((salt * 977 + i++) % 4096), 4096,
+                           nullptr);
     ++*completed;
   }
 }
@@ -133,6 +135,57 @@ TEST_F(BlockDeviceTest, CapacityMatchesDevice) {
   BlockDevice bdev = MakeDevice();
   EXPECT_EQ(bdev.CapacityBytes(),
             harness_.device.profile().capacity_sectors * 512ULL);
+}
+
+// blk-mq requeue path: a transient server error is put back on the
+// hardware context after requeue_delay, up to max_requeues times.
+class BlockDeviceRequeueTest : public BlockDeviceTest {
+ protected:
+  BlockDeviceRequeueTest() : plan_(harness_.sim, 5) {
+    harness_.server.SetFaultPlan(&plan_);
+  }
+
+  IoResult ReadOnce(BlockDevice& bdev, uint64_t offset) {
+    auto r = bdev.ReadBytes(offset, 4096, nullptr);
+    EXPECT_TRUE(harness_.RunUntilReady([&] { return r.Ready(); }));
+    return r.Get();
+  }
+
+  sim::FaultPlan plan_;
+};
+
+TEST_F(BlockDeviceRequeueTest, TransientErrorSurfacesWithoutRequeues) {
+  plan_.ScheduleWindow(sim::FaultKind::kServerDeviceError, Micros(1),
+                       Millis(50));
+  BlockDevice::Options options;
+  options.max_requeues = 0;
+  BlockDevice bdev = MakeDevice(options);
+  EXPECT_EQ(ReadOnce(bdev, 0).status, core::ReqStatus::kDeviceError);
+  EXPECT_EQ(bdev.requeues(), 0);
+}
+
+TEST_F(BlockDeviceRequeueTest, TransientErrorRequeuedUntilWindowCloses) {
+  BlockDevice::Options options;
+  options.max_requeues = 3;
+  // The window closes before the first requeue delay has elapsed, so
+  // the re-issued chunk lands on a healthy server.
+  plan_.ScheduleWindow(sim::FaultKind::kServerDeviceError, Micros(1),
+                       options.requeue_delay);
+  BlockDevice bdev = MakeDevice(options);
+  const IoResult r = ReadOnce(bdev, 0);
+  EXPECT_TRUE(r.ok()) << static_cast<int>(r.status);
+  EXPECT_GT(bdev.requeues(), 0);
+  EXPECT_GT(r.Latency(), options.requeue_delay);
+}
+
+TEST_F(BlockDeviceRequeueTest, PermanentErrorCompletesWithoutRequeue) {
+  BlockDevice::Options options;
+  options.max_requeues = 3;
+  BlockDevice bdev = MakeDevice(options);
+  const IoResult r = ReadOnce(bdev, bdev.CapacityBytes());
+  EXPECT_EQ(r.status, core::ReqStatus::kInvalidRange);
+  EXPECT_EQ(bdev.requeues(), 0);
+  EXPECT_LT(r.Latency(), options.requeue_delay);
 }
 
 }  // namespace

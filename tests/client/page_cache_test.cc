@@ -28,7 +28,7 @@ class PageCacheTest : public ::testing::Test {
   PageCacheTest()
       : device_(sim_, flash::DeviceProfile::DeviceA(), 3),
         local_(sim_, device_, baseline::LocalSpdkService::Options{}),
-        backend_(local_, 1ULL << 30) {}
+        backend_(local_) {}
 
   void WritePattern(uint64_t page, uint8_t fill) {
     std::vector<uint8_t> buf(4096, fill);
@@ -40,7 +40,7 @@ class PageCacheTest : public ::testing::Test {
   sim::Simulator sim_;
   flash::FlashDevice device_;
   baseline::LocalSpdkService local_;
-  ServiceStorageAdapter backend_;
+  SessionStorageBackend backend_;
 };
 
 TEST_F(PageCacheTest, MissThenHit) {
@@ -218,7 +218,7 @@ struct TraceWorld {
       : mode(get_mode),
         device(sim, flash::DeviceProfile::DeviceA(), 3),
         local(sim, device, baseline::LocalSpdkService::Options{}),
-        backend(local, 1ULL << 30),
+        backend(local),
         cache(sim, backend, kTraceCapacity, /*max_outstanding=*/2,
               /*readahead_pages=*/8) {
     for (uint64_t p = 0; p < kTracePages; ++p) {
@@ -274,7 +274,7 @@ struct TraceWorld {
   sim::Simulator sim;
   flash::FlashDevice device;
   baseline::LocalSpdkService local;
-  ServiceStorageAdapter backend;
+  SessionStorageBackend backend;
   PageCache cache;
   std::array<uint8_t, kTracePages> fill{};
   std::deque<std::vector<uint8_t>> buffers;
