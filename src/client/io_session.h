@@ -33,6 +33,12 @@ class IoSession {
    * Reads `sectors` 512B sectors at logical `lba`; `data` (optional)
    * receives the payload. The future resolves when the application
    * would observe completion (all stack costs included).
+   *
+   * Payload contract (reads and writes): `data` must stay valid until
+   * the future resolves, and nothing touches it after that -- not a
+   * timed-out attempt, a retransmitted duplicate or a write whose
+   * outcome is unknown. The caller may free or reuse the buffer the
+   * moment the future is ready.
    */
   virtual sim::Future<IoResult> Read(uint64_t lba, uint32_t sectors,
                                      uint8_t* data = nullptr,

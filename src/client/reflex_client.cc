@@ -1,6 +1,7 @@
 #include "client/reflex_client.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "sim/logging.h"
@@ -62,8 +63,12 @@ ReflexClient::ReflexClient(sim::Simulator& sim, core::ReflexServer& server,
 ReflexClient::~ReflexClient() {
   // Unresolved ops still hold watchdog events whose callbacks capture
   // `this`; disarm them so a simulator outliving the client cannot
-  // dispatch into a destroyed object.
-  for (auto& [cookie, op] : pending_) sim_.Cancel(op.watchdog);
+  // dispatch into a destroyed object, and cut their attempts off from
+  // buffers whose owners may go away with us.
+  for (auto& [cookie, op] : pending_) {
+    sim_.Cancel(op.watchdog);
+    DetachPayload(op);
+  }
 }
 
 int ReflexClient::OpenConnection() {
@@ -157,7 +162,10 @@ sim::Future<IoResult> ReflexClient::SubmitIo(core::ReqType type,
   msg.handle = handle;
   msg.lba = lba;
   msg.sectors = sectors;
-  msg.data = data;
+  if (data != nullptr) {
+    msg.payload = std::make_shared<core::IoPayload>();
+    msg.payload->bytes = data;
+  }
   msg.cookie = next_cookie_++;
   msg.map_epoch = map_epoch_;
 
@@ -187,7 +195,7 @@ sim::Future<IoResult> ReflexClient::SubmitIo(core::ReqType type,
   op.handle = handle;
   op.lba = lba;
   op.sectors = sectors;
-  op.data = data;
+  op.payload = msg.payload;
   op.conn_index = conn_index;
   pending_.emplace(msg.cookie, std::move(op));
 
@@ -264,7 +272,7 @@ void ReflexClient::Retransmit(uint64_t cookie, sim::TimeNs delay) {
   msg.handle = op.handle;
   msg.lba = op.lba;
   msg.sectors = op.sectors;
-  msg.data = op.data;
+  msg.payload = op.payload;
   msg.cookie = cookie;
   // Stamp the *current* epoch: if the map refreshed between attempts,
   // the retransmission routes (and gates) as fresh traffic.
@@ -282,6 +290,7 @@ void ReflexClient::Retransmit(uint64_t cookie, sim::TimeNs delay) {
 
 void ReflexClient::FailPending(PendingOp&& op, core::ReqStatus status) {
   sim_.Cancel(op.watchdog);
+  DetachPayload(op);
   ++fault_stats_.failures;
   if (failures_metric_ != nullptr) failures_metric_->Increment();
   IoResult result;
@@ -291,6 +300,20 @@ void ReflexClient::FailPending(PendingOp&& op, core::ReqStatus status) {
   // The trace never completed; drop it rather than reporting a
   // partial span as a finished request.
   op.promise.Set(result);
+}
+
+void ReflexClient::DetachPayload(PendingOp& op) {
+  // Sole holder: no attempt is left that could touch the buffer.
+  if (op.payload == nullptr || op.payload.use_count() == 1) return;
+  core::IoPayload& payload = *op.payload;
+  if (op.type == core::ReqType::kRead) {
+    payload.bytes = nullptr;
+    return;
+  }
+  const size_t n = static_cast<size_t>(op.sectors) * core::kSectorBytes;
+  payload.zombie = std::make_unique_for_overwrite<uint8_t[]>(n);
+  std::memcpy(payload.zombie.get(), payload.bytes, n);
+  payload.bytes = payload.zombie.get();
 }
 
 void ReflexClient::ReconnectConnection(int conn_index) {
@@ -352,6 +375,7 @@ void ReflexClient::OnResponse(const core::ResponseMsg& resp) {
   // The op resolved: release its timeout watchdog instead of leaving a
   // dead event queued until it would have fired.
   sim_.Cancel(op.watchdog);
+  DetachPayload(op);
 
   // Client-side receive processing: interrupt/scheduling delay (Linux
   // stacks) plus per-message stack cost and payload copy.

@@ -45,7 +45,9 @@ class TenantSession : public IoSession {
    * (optional) receives the payload. The returned future resolves
    * after client-side receive processing, so its latency is the full
    * application-observed round trip. `conn_index` pins the request to
-   * one connection of the pool; -1 round-robins.
+   * one connection of the pool; -1 round-robins. Keeps the
+   * IoSession payload contract: once the future resolves, no attempt
+   * of this I/O touches `data` (ReflexClient detaches them).
    */
   sim::Future<IoResult> Read(uint64_t lba, uint32_t sectors,
                              uint8_t* data = nullptr,
@@ -232,7 +234,8 @@ class ReflexClient {
     uint32_t handle = 0;
     uint64_t lba = 0;
     uint32_t sectors = 0;
-    uint8_t* data = nullptr;
+    /** Shared with every attempt in flight; null for timing-only I/O. */
+    std::shared_ptr<core::IoPayload> payload = nullptr;
     int conn_index = 0;
     int attempts = 1;
     /**
@@ -264,6 +267,13 @@ class ReflexClient {
   void Retransmit(uint64_t cookie, sim::TimeNs delay);
   /** Resolves a pending op with a failure status. */
   void FailPending(PendingOp&& op, core::ReqStatus status);
+  /**
+   * Called when `op` resolves or is abandoned: if an attempt still in
+   * flight shares its payload, cuts that attempt off from the caller's
+   * buffer (see core::IoPayload), so nothing touches the buffer once
+   * the caller's future has resolved.
+   */
+  static void DetachPayload(PendingOp& op);
   /** Re-establishes a reset/suspect connection in place. */
   void ReconnectConnection(int conn_index);
 

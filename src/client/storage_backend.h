@@ -24,7 +24,11 @@ class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
 
-  /** Reads `bytes` at `offset` (512-aligned when data is non-null). */
+  /**
+   * Reads `bytes` at `offset` (512-aligned when data is non-null).
+   * Same payload contract as IoSession: `data` must stay valid until
+   * the future resolves, and nothing touches it after that.
+   */
   virtual sim::Future<IoResult> ReadBytes(uint64_t offset, uint32_t bytes,
                                           uint8_t* data) = 0;
 

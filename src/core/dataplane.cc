@@ -285,7 +285,7 @@ sim::Task DataplaneThread::RunLoop() {
         }
       }
       PendingIo io;
-      io.msg = msg;
+      io.msg = std::move(msg);
       io.conn = item.conn;
       io.gate_id = gate_id;
       // Route to the tenant's owning thread (tenants may have been
@@ -363,7 +363,11 @@ void DataplaneThread::SubmitToFlash(Tenant& tenant, PendingIo&& io) {
                                          : flash::FlashOp::kWrite;
   cmd.lba = io.msg.lba;
   cmd.sectors = io.msg.sectors;
-  cmd.data = io.msg.data;
+  // The device copies the data synchronously in Submit(), so the
+  // server lets go of the payload here: a client detaching it later
+  // only has to care about attempts that have not reached the device.
+  const std::shared_ptr<IoPayload> payload = std::move(io.msg.payload);
+  cmd.data = payload != nullptr ? payload->bytes : nullptr;
   cmd.cookie = io.msg.cookie;
   Tenant* tenant_ptr = &tenant;
   const int64_t bytes = static_cast<int64_t>(cmd.sectors) * kSectorBytes;

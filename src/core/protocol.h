@@ -91,9 +91,25 @@ inline constexpr uint32_t kResponseHeaderBytes = 24;
 inline constexpr uint32_t kRegisterMsgBytes = 64;
 
 /**
+ * The data of one client I/O, shared by every attempt (original and
+ * retransmissions) of it. In ReFlex the data travels inside the TCP
+ * messages; the simulation hands the device a pointer instead, so the
+ * client library decides what an attempt may still touch once the op
+ * resolved: it detaches the payload (ReflexClient) -- a read's `bytes`
+ * becomes null (late attempts are timing-only), a write's bytes move
+ * into `zombie` (a late write applies exactly what it was issued with).
+ */
+struct IoPayload {
+  /** Read destination / write source; null means timing-only. */
+  uint8_t* bytes = nullptr;
+  /** Owned copy of a detached write's bytes. */
+  std::unique_ptr<uint8_t[]> zombie;
+};
+
+/**
  * A parsed ReFlex request as carried through the simulation. For
- * kRead/kWrite, `handle` identifies the tenant; `data` optionally
- * points at the client's buffer (null for timing-only load).
+ * kRead/kWrite, `handle` identifies the tenant; `payload` optionally
+ * carries the data (null for timing-only load).
  */
 struct RequestMsg {
   ReqType type = ReqType::kRead;
@@ -101,7 +117,7 @@ struct RequestMsg {
   uint64_t lba = 0;
   uint32_t sectors = 0;
   uint64_t cookie = 0;
-  uint8_t* data = nullptr;
+  std::shared_ptr<IoPayload> payload;
 
   /**
    * Shard-map epoch the client held when it routed this request. Range

@@ -67,6 +67,7 @@ bool FlashDevice::Submit(QueuePair* qp, const FlashCommand& cmd,
 
   auto op = std::make_shared<InFlight>();
   op->cmd = cmd;
+  op->cmd.data = nullptr;  // borrowed for this call only
   op->cb = std::move(cb);
   op->qp = qp;
   op->submit_time = sim_.Now();

@@ -38,7 +38,9 @@ struct FlashCommand {
   /**
    * Optional data pointer (read destination / write source) of
    * sectors * sector_bytes bytes. Null means timing-only (load
-   * generators); the backing store is untouched.
+   * generators); the backing store is untouched. Borrowed only for
+   * the duration of FlashDevice::Submit(), which copies synchronously;
+   * the device never touches it afterwards.
    */
   uint8_t* data = nullptr;
   /** Opaque caller context, echoed in the completion. */

@@ -2,7 +2,7 @@
 // against the consistency oracle, the sweep is bit-identical across
 // in-process runs, both planted migration mutations are caught, the
 // --migrate override round-trips through the repro artifact, and
-// autoscaling seeds stay clean.
+// autoscaling seeds (including a pinned crash regression) stay clean.
 
 #include <gtest/gtest.h>
 
@@ -125,6 +125,13 @@ TEST(MigrationSweepTest, AutoscaleSeedsStayClean) {
   }
   EXPECT_GE(covered, 1)
       << "no seed in 1..60 drew autoscaling; the fuzzer lost coverage";
+}
+
+// Regression: default seed 2667 once crashed (heap-use-after-free). A
+// migration copy read was retransmitted, the copy worker resolved and
+// freed its buffer, and the late attempt still copied into it.
+TEST(MigrationSweepTest, Seed2667LateCopyReadRunsClean) {
+  ExpectClean(RunScenario(GenerateScenario(2667)), 2667);
 }
 
 TEST(MigrationSweepTest, ForcedMigrationRoundTripsThroughArtifact) {

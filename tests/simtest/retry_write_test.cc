@@ -45,12 +45,7 @@ IoResult AwaitRead(Harness& h, client::TenantSession& session,
                    uint64_t lba) {
   auto io = session.Read(lba, kSectors, buf.data());
   EXPECT_TRUE(h.RunUntilReady([&] { return io.Ready(); }));
-  // A retransmitted duplicate may refresh the buffer after the future
-  // resolves; extend the window to observation time (same rule as the
-  // stress runner).
-  IoResult observed = io.Get();
-  observed.complete_time = std::max(observed.complete_time, h.sim.Now());
-  oracle.EndRead(lba, kSectors, buf.data(), observed);
+  oracle.EndRead(lba, kSectors, buf.data(), io.Get());
   return io.Get();
 }
 
