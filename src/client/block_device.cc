@@ -1,7 +1,6 @@
 #include "client/block_device.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "sim/logging.h"
@@ -48,28 +47,35 @@ sim::Future<IoResult> BlockDevice::SubmitSplit(bool is_read,
       (byte_offset + bytes + core::kSectorBytes - 1) / core::kSectorBytes;
   auto total_sectors = static_cast<uint32_t>(end_lba - first_lba);
 
+  sim::Promise<IoResult> promise(sim_);
+  auto future = promise.GetFuture();
+  RunSplit(is_read, first_lba, total_sectors, data, std::move(promise));
+  return future;
+}
+
+sim::Task BlockDevice::RunSplit(bool is_read, uint64_t first_lba,
+                                uint32_t total_sectors, uint8_t* data,
+                                sim::Promise<IoResult> promise) {
+  const sim::TimeNs issue_time = sim_.Now();
   // Split into chunks of at most max_request_sectors, one blk-mq
-  // context per chunk (round robin).
-  auto status = std::make_shared<core::ReqStatus>(core::ReqStatus::kOk);
-  int num_chunks = 0;
-  {
-    uint32_t remaining = total_sectors;
-    while (remaining > 0) {
-      remaining -= std::min(remaining, options_.max_request_sectors);
-      ++num_chunks;
-    }
-  }
-  auto barrier = std::make_shared<sim::Barrier>(sim_, num_chunks);
+  // context per chunk (round robin). The join state lives in this
+  // frame, which outlives every chunk: each chunk's last act is
+  // Arrive(), and this frame resumes only after the last one.
+  const uint32_t max_chunk = options_.max_request_sectors;
+  const auto num_chunks =
+      static_cast<int64_t>((uint64_t{total_sectors} + max_chunk - 1) /
+                           max_chunk);
+  sim::Barrier barrier(sim_, num_chunks);
+  core::ReqStatus status = core::ReqStatus::kOk;
 
   uint64_t lba = first_lba;
   uint32_t remaining = total_sectors;
   uint8_t* chunk_data = data;
   while (remaining > 0) {
-    const uint32_t chunk = std::min(remaining, options_.max_request_sectors);
+    const uint32_t chunk = std::min(remaining, max_chunk);
     const int ctx = next_ctx_;
     next_ctx_ = (next_ctx_ + 1) % options_.num_contexts;
-    DoChunk(ctx, is_read, lba, chunk, chunk_data, barrier.get(),
-            status.get());
+    DoChunk(ctx, is_read, lba, chunk, chunk_data, &barrier, &status);
     lba += chunk;
     remaining -= chunk;
     if (chunk_data != nullptr) {
@@ -77,10 +83,13 @@ sim::Future<IoResult> BlockDevice::SubmitSplit(bool is_read,
     }
   }
 
-  sim::Promise<IoResult> promise(sim_);
-  auto future = promise.GetFuture();
-  JoinChunks(barrier, status, sim_.Now(), std::move(promise));
-  return future;
+  co_await barrier.Done();
+  co_await sim::Delay(sim_, options_.app_wakeup);
+  IoResult result;
+  result.status = status;
+  result.issue_time = issue_time;
+  result.complete_time = sim_.Now();
+  promise.Set(result);
 }
 
 sim::Task BlockDevice::DoChunk(int ctx_index, bool is_read, uint64_t lba,
@@ -139,19 +148,6 @@ sim::Task BlockDevice::DoChunk(int ctx_index, bool is_read, uint64_t lba,
   co_await sim::Delay(sim_, ctx.core_free - sim_.Now());
 
   barrier->Arrive();
-}
-
-sim::Task BlockDevice::JoinChunks(std::shared_ptr<sim::Barrier> barrier,
-                                  std::shared_ptr<core::ReqStatus> status,
-                                  sim::TimeNs issue_time,
-                                  sim::Promise<IoResult> promise) {
-  co_await barrier->Done();
-  co_await sim::Delay(sim_, options_.app_wakeup);
-  IoResult result;
-  result.status = *status;
-  result.issue_time = issue_time;
-  result.complete_time = sim_.Now();
-  promise.Set(result);
 }
 
 }  // namespace reflex::client

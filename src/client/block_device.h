@@ -106,10 +106,11 @@ class BlockDevice : public StorageBackend {
   sim::Task DoChunk(int ctx_index, bool is_read, uint64_t lba,
                     uint32_t sectors, uint8_t* data, sim::Barrier* barrier,
                     core::ReqStatus* status_out);
-  sim::Task JoinChunks(std::shared_ptr<sim::Barrier> barrier,
-                       std::shared_ptr<core::ReqStatus> status,
-                       sim::TimeNs issue_time,
-                       sim::Promise<IoResult> promise);
+  /** Issues the chunks of one request and resolves `promise` once
+   * every chunk completed (plus the application wakeup). */
+  sim::Task RunSplit(bool is_read, uint64_t first_lba,
+                     uint32_t total_sectors, uint8_t* data,
+                     sim::Promise<IoResult> promise);
 
   sim::Simulator& sim_;
   core::ReflexServer& server_;

@@ -133,7 +133,7 @@ sim::Future<core::ResponseMsg> ReflexClient::Register(
   core::ServerConnection* conn = connections_[0];
   sim_.ScheduleAfter(
       options_.stack.TxCost(core::kRegisterMsgBytes),
-      [conn, msg] { conn->Deliver(msg); });
+      [conn, msg]() mutable { conn->Deliver(std::move(msg)); });
   return future;
 }
 
@@ -149,7 +149,7 @@ sim::Future<core::ResponseMsg> ReflexClient::Unregister(uint32_t handle) {
   core::ServerConnection* conn = connections_[0];
   sim_.ScheduleAfter(
       options_.stack.TxCost(core::kRegisterMsgBytes),
-      [conn, msg] { conn->Deliver(msg); });
+      [conn, msg]() mutable { conn->Deliver(std::move(msg)); });
   return future;
 }
 
@@ -163,7 +163,8 @@ sim::Future<IoResult> ReflexClient::SubmitIo(core::ReqType type,
   msg.lba = lba;
   msg.sectors = sectors;
   if (data != nullptr) {
-    msg.payload = std::make_shared<core::IoPayload>();
+    msg.payload = std::allocate_shared<core::IoPayload>(
+        sim::PoolAllocator<core::IoPayload>());
     msg.payload->bytes = data;
   }
   msg.cookie = next_cookie_++;
@@ -202,7 +203,9 @@ sim::Future<IoResult> ReflexClient::SubmitIo(core::ReqType type,
   // Client-side transmit processing, then ship over TCP.
   const uint32_t wire = msg.WireBytes(core::kSectorBytes);
   const sim::TimeNs tx_cost = options_.stack.TxCost(wire);
-  sim_.ScheduleAfter(tx_cost, [conn, msg] { conn->Deliver(msg); });
+  sim_.ScheduleAfter(tx_cost, [conn, msg]() mutable {
+    conn->Deliver(std::move(msg));
+  });
   if (retries_enabled()) ArmTimeout(msg.cookie, /*attempt=*/1, tx_cost);
   return future;
 }
@@ -284,7 +287,9 @@ void ReflexClient::Retransmit(uint64_t cookie, sim::TimeNs delay) {
       connections_[static_cast<size_t>(op.conn_index)];
   const uint32_t wire = msg.WireBytes(core::kSectorBytes);
   const sim::TimeNs tx_cost = options_.stack.TxCost(wire);
-  sim_.ScheduleAfter(delay + tx_cost, [conn, msg] { conn->Deliver(msg); });
+  sim_.ScheduleAfter(delay + tx_cost, [conn, msg]() mutable {
+    conn->Deliver(std::move(msg));
+  });
   ArmTimeout(cookie, op.attempts, delay + tx_cost);
 }
 

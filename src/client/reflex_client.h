@@ -12,6 +12,7 @@
 #include "core/reflex_server.h"
 #include "net/network.h"
 #include "net/stack_costs.h"
+#include "sim/pool.h"
 #include "sim/random.h"
 #include "sim/task.h"
 
@@ -290,7 +291,10 @@ class ReflexClient {
   obs::TraceSampler sampler_;
 
   uint64_t next_cookie_ = 1;
-  std::map<uint64_t, PendingOp> pending_;
+  /** Unresolved I/O by cookie; nodes recycle through the pool. */
+  std::map<uint64_t, PendingOp, std::less<>,
+           sim::PoolAllocator<std::pair<const uint64_t, PendingOp>>>
+      pending_;
   std::map<uint64_t, sim::Promise<core::ResponseMsg>>
       pending_control_;
 

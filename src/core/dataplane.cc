@@ -10,11 +10,13 @@
 
 namespace reflex::core {
 
-void ServerConnection::Deliver(const RequestMsg& msg) {
+void ServerConnection::Deliver(RequestMsg msg) {
   DataplaneThread* thread = thread_;
   ServerConnection* self = this;
-  tcp_->SendToServer(msg.WireBytes(kSectorBytes),
-                     [thread, self, msg] { thread->EnqueueRx(self, msg); });
+  const uint32_t wire = msg.WireBytes(kSectorBytes);
+  tcp_->SendToServer(wire, [thread, self, msg = std::move(msg)]() mutable {
+    thread->EnqueueRx(self, std::move(msg));
+  });
 }
 
 DataplaneThread::DataplaneThread(sim::Simulator& sim, ReflexServer& server,
@@ -41,6 +43,9 @@ DataplaneThread::DataplaneThread(sim::Simulator& sim, ReflexServer& server,
     config_.tcp_rx_per_msg /= 2;
     config_.tcp_tx_per_msg /= 2;
   }
+  // A batch never exceeds max_batch, so the batch vectors never grow.
+  rx_batch_.reserve(static_cast<size_t>(config_.max_batch));
+  cq_batch_.reserve(static_cast<size_t>(config_.max_batch));
   scheduler_.set_neg_limit_callback(
       [this](Tenant& t) { server_.control_plane().OnNegLimit(t); });
   scheduler_.set_metrics(
@@ -91,11 +96,10 @@ void DataplaneThread::Shutdown() {
   Wake();
 }
 
-void DataplaneThread::EnqueueRx(ServerConnection* conn,
-                                const RequestMsg& msg) {
+void DataplaneThread::EnqueueRx(ServerConnection* conn, RequestMsg msg) {
   const sim::TimeNs now = sim_.Now();
   if (msg.trace) msg.trace->Mark(obs::Stage::kServerRx, now);
-  rx_ring_.push_back(RxItem{conn, msg, now});
+  rx_ring_.push_back(RxItem{conn, std::move(msg), now});
   Wake();
 }
 
@@ -106,16 +110,20 @@ void DataplaneThread::AdoptTenant(Tenant* tenant) {
 
 void DataplaneThread::DropTenant(Tenant* tenant) {
   scheduler_.RemoveTenant(tenant);
-  for (PendingIo& io : tenant->TakeQueue()) {
-    FailIo(io, ReqStatus::kNoSuchTenant);
+  sim::Ring<PendingIo> queued = tenant->TakeQueue();
+  while (!queued.empty()) {
+    FailIo(queued.front(), ReqStatus::kNoSuchTenant);
+    queued.pop_front();
   }
 }
 
 void DataplaneThread::Wake() {
-  if (idle_ && wake_promise_.has_value()) {
+  if (idle_ && wake_waiter_) {
     idle_ = false;
-    wake_promise_->Set(sim::Unit{});
-    wake_promise_.reset();
+    // Resume through the event queue, as a fulfilled future would.
+    std::coroutine_handle<> h = wake_waiter_;
+    wake_waiter_ = nullptr;
+    sim_.ScheduleAfter(0, [h] { h.resume(); });
   }
 }
 
@@ -151,8 +159,7 @@ sim::Task DataplaneThread::RunLoop() {
       // is waiting for tokens, re-run the scheduler soon.
       if (scheduler_.HasPendingDemand()) ArmRescheduleTimer();
       idle_ = true;
-      wake_promise_.emplace(sim_);
-      co_await wake_promise_->GetFuture();
+      co_await WakeAwaiter{this};
       if (!running_) break;
     }
 
@@ -161,16 +168,12 @@ sim::Task DataplaneThread::RunLoop() {
                                   config_.max_batch);
     const int ncq = std::min<int>(static_cast<int>(cq_ring_.size()),
                                   config_.max_batch);
-    std::vector<RxItem> rx_batch;
-    rx_batch.reserve(nrx);
     for (int i = 0; i < nrx; ++i) {
-      rx_batch.push_back(std::move(rx_ring_.front()));
+      rx_batch_.push_back(std::move(rx_ring_.front()));
       rx_ring_.pop_front();
     }
-    std::vector<CqItem> cq_batch;
-    cq_batch.reserve(ncq);
     for (int i = 0; i < ncq; ++i) {
-      cq_batch.push_back(std::move(cq_ring_.front()));
+      cq_batch_.push_back(std::move(cq_ring_.front()));
       cq_ring_.pop_front();
     }
 
@@ -204,7 +207,7 @@ sim::Task DataplaneThread::RunLoop() {
 
     // --- Act: parse + enqueue requests ---
     const sim::TimeNs now = sim_.Now();
-    for (RxItem& item : rx_batch) {
+    for (RxItem& item : rx_batch_) {
       ++stats_.requests_rx;
       RequestMsg& msg = item.msg;
       if (msg.trace) msg.trace->Mark(obs::Stage::kParsed, now);
@@ -304,7 +307,7 @@ sim::Task DataplaneThread::RunLoop() {
     }
 
     // --- Completions: build and transmit responses ---
-    for (CqItem& item : cq_batch) {
+    for (CqItem& item : cq_batch_) {
       Tenant* tenant = item.tenant;
       // An I/O counts as completed (for barriers) once its response is
       // on the wire, so barrier acks can never overtake it.
@@ -330,6 +333,9 @@ sim::Task DataplaneThread::RunLoop() {
       SendResponse(item.io.conn, resp);
       if (item.io.gate_id >= 0) server_.OnGatedIoDone(item.io.gate_id);
     }
+    // End of the iteration: the batch releases what it still holds.
+    rx_batch_.clear();
+    cq_batch_.clear();
   }
   // Falling off the end self-destroys the frame (final_suspend is
   // suspend_never); clear the handle so the destructor cannot
@@ -369,25 +375,40 @@ void DataplaneThread::SubmitToFlash(Tenant& tenant, PendingIo&& io) {
   const std::shared_ptr<IoPayload> payload = std::move(io.msg.payload);
   cmd.data = payload != nullptr ? payload->bytes : nullptr;
   cmd.cookie = io.msg.cookie;
-  Tenant* tenant_ptr = &tenant;
   const int64_t bytes = static_cast<int64_t>(cmd.sectors) * kSectorBytes;
   ++tenant.inflight;
   QosScheduler::BookDeviceBytes(tenant, bytes, 0);
-  auto shared_io = std::make_shared<PendingIo>(std::move(io));
+  uint32_t slot;
+  if (free_flash_slots_.empty()) {
+    slot = static_cast<uint32_t>(flash_slots_.size());
+    flash_slots_.push_back(FlashSlot{&tenant, std::move(io)});
+  } else {
+    slot = free_flash_slots_.back();
+    free_flash_slots_.pop_back();
+    flash_slots_[slot] = FlashSlot{&tenant, std::move(io)};
+  }
   const bool ok = device_.Submit(
-      qp_, cmd,
-      [this, tenant_ptr, shared_io](const flash::FlashCompletion& c) {
-        shared_io->MarkStage(obs::Stage::kFlashDone, sim_.Now());
-        cq_ring_.push_back(CqItem{tenant_ptr, std::move(*shared_io), c});
-        Wake();
+      qp_, cmd, [this, slot](const flash::FlashCompletion& c) {
+        OnFlashDone(slot, c);
       });
   if (!ok) {
     // Ranges were validated at parse time, so a failed submission
     // means the hardware queue pair is full.
     --tenant.inflight;
     QosScheduler::BookDeviceBytes(tenant, -bytes, 0);
-    FailIo(*shared_io, ReqStatus::kOutOfResources);
+    FailIo(flash_slots_[slot].io, ReqStatus::kOutOfResources);
+    flash_slots_[slot] = FlashSlot{};
+    free_flash_slots_.push_back(slot);
   }
+}
+
+void DataplaneThread::OnFlashDone(uint32_t slot,
+                                  const flash::FlashCompletion& c) {
+  FlashSlot& parked = flash_slots_[slot];
+  parked.io.MarkStage(obs::Stage::kFlashDone, sim_.Now());
+  cq_ring_.push_back(CqItem{parked.tenant, std::move(parked.io), c});
+  free_flash_slots_.push_back(slot);
+  Wake();
 }
 
 uint32_t DataplaneThread::QueueDepthHint() const {

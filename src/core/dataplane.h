@@ -3,16 +3,16 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <vector>
 
 #include "core/protocol.h"
 #include "core/qos_scheduler.h"
 #include "core/tenant.h"
 #include "flash/flash_device.h"
 #include "net/network.h"
+#include "sim/ring.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
@@ -44,7 +44,7 @@ class ServerConnection {
    * simulated TCP connection and enqueues it at the server dataplane
    * when the last frame arrives.
    */
-  void Deliver(const RequestMsg& msg);
+  void Deliver(RequestMsg msg);
 
  private:
   friend class ReflexServer;
@@ -165,7 +165,7 @@ class DataplaneThread {
   const DataplaneConfig& config() const { return config_; }
 
   /** Network ingress: called when a request arrives at the server NIC. */
-  void EnqueueRx(ServerConnection* conn, const RequestMsg& msg);
+  void EnqueueRx(ServerConnection* conn, RequestMsg msg);
 
   /** Moves a tenant (and its queued requests) onto this thread. */
   void AdoptTenant(Tenant* tenant);
@@ -199,9 +199,26 @@ class DataplaneThread {
     PendingIo io;
     flash::FlashCompletion completion;
   };
+  /** A request submitted to the device, parked until its completion. */
+  struct FlashSlot {
+    Tenant* tenant = nullptr;
+    PendingIo io;
+  };
+  /** What RunLoop awaits while idle: parks the loop's handle in
+   * wake_waiter_ for Wake() to resume. */
+  struct WakeAwaiter {
+    DataplaneThread* thread;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      thread->wake_waiter_ = h;
+    }
+    void await_resume() const noexcept {}
+  };
 
   sim::Task RunLoop();
   void Wake();
+  /** Device completion of the request parked in flash_slots_[slot]. */
+  void OnFlashDone(uint32_t slot, const flash::FlashCompletion& c);
   void ArmRescheduleTimer();
   double LlcFactor() const;
   void HandleControlMsg(ServerConnection* conn, const RequestMsg& msg);
@@ -218,8 +235,18 @@ class DataplaneThread {
   QosScheduler scheduler_;
   DataplaneStats stats_;
 
-  std::deque<RxItem> rx_ring_;
-  std::deque<CqItem> cq_ring_;
+  // Every container below keeps its capacity, so a thread cycling at a
+  // steady load allocates nothing per request.
+  sim::Ring<RxItem> rx_ring_;
+  sim::Ring<CqItem> cq_ring_;
+  /** The current iteration's batch, popped from the rings; cleared at
+   * the end of the iteration. */
+  std::vector<RxItem> rx_batch_;
+  std::vector<CqItem> cq_batch_;
+  /** Requests in flight on the device, indexed by the slot number the
+   * device callback carries; free_flash_slots_ lists the unused ones. */
+  std::vector<FlashSlot> flash_slots_;
+  std::vector<uint32_t> free_flash_slots_;
 
   bool running_ = false;
   /** True while a RunLoop coroutine is alive (it may outlive running_
@@ -228,8 +255,8 @@ class DataplaneThread {
   /**
    * The live RunLoop coroutine's own frame handle (captured via
    * sim::SelfHandle, cleared when the loop finishes normally). At
-   * destruction the loop is usually still suspended on its wake future
-   * or a Delay whose resume event will never run -- the destructor
+   * destruction the loop is usually still suspended on its wake
+   * awaiter or a Delay whose resume event will never run -- the destructor
    * destroys the frame through this handle so it cannot leak.
    */
   std::coroutine_handle<> loop_handle_;
@@ -239,7 +266,9 @@ class DataplaneThread {
   /** Live idle-reschedule timer (valid while resched_armed_). Cancelled
    * on Shutdown() only; see the comment there for why Wake() keeps it. */
   sim::TimerHandle resched_timer_;
-  std::optional<sim::VoidPromise> wake_promise_;
+  /** The idle loop's handle while it waits for work (null otherwise).
+   * Wake() resumes it through a zero-delay event. */
+  std::coroutine_handle<> wake_waiter_;
   sim::TimeNs start_time_ = 0;
 };
 

@@ -2,12 +2,12 @@
 #define REFLEX_CORE_TENANT_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "core/protocol.h"
 #include "core/slo.h"
 #include "sim/logging.h"
+#include "sim/ring.h"
 #include "sim/time.h"
 
 namespace reflex::core {
@@ -94,10 +94,10 @@ class Tenant {
    * The tenant must already be unbound from its scheduler, whose
    * queued-request count covers bound tenants only.
    */
-  std::deque<PendingIo> TakeQueue() {
+  sim::Ring<PendingIo> TakeQueue() {
     REFLEX_CHECK(scheduler_ == nullptr);
     queued_cost_ = 0.0;
-    std::deque<PendingIo> q;
+    sim::Ring<PendingIo> q;
     q.swap(queue_);
     return q;
   }
@@ -139,7 +139,7 @@ class Tenant {
 
   // Scheduler state (owned by the tenant's thread scheduler).
   double tokens_ = 0.0;
-  std::deque<PendingIo> queue_;
+  sim::Ring<PendingIo> queue_;
   double queued_cost_ = 0.0;
   /** Tokens granted in the last 3 rounds: POS_LIMIT (section 3.2.2). */
   double grant_history_[3] = {0.0, 0.0, 0.0};

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "sim/logging.h"
+#include "sim/pool.h"
 
 namespace reflex::flash {
 
@@ -17,6 +19,12 @@ FlashDevice::FlashDevice(sim::Simulator& sim, DeviceProfile profile,
   REFLEX_CHECK(profile_.write_cost >= 1.0);
   REFLEX_CHECK(profile_.page_bytes % profile_.sector_bytes == 0);
   die_free_.assign(profile_.num_dies, 0);
+}
+
+FlashDevice::~FlashDevice() {
+  // Commands still in flight when the device goes away: their
+  // completion events will never run (the simulation ends with us).
+  while (live_head_ != nullptr) FreeInFlight(live_head_);
 }
 
 QueuePair* FlashDevice::AllocQueuePair() {
@@ -65,13 +73,12 @@ bool FlashDevice::Submit(QueuePair* qp, const FlashCommand& cmd,
   ++qp->outstanding_;
   if (metrics_.enabled()) metrics_.queue_depth->Add(1);
 
-  auto op = std::make_shared<InFlight>();
+  InFlight* op = NewInFlight();
   op->cmd = cmd;
   op->cmd.data = nullptr;  // borrowed for this call only
   op->cb = std::move(cb);
   op->qp = qp;
   op->submit_time = sim_.Now();
-  op->chunks_remaining = 0;
 
   if (cmd.op == FlashOp::kRead) {
     if (cmd.data != nullptr) CopyFromStore(cmd);
@@ -93,14 +100,36 @@ bool FlashDevice::Submit(QueuePair* qp, const FlashCommand& cmd,
     if (cmd.data != nullptr) CopyToStore(cmd);
     last_write_time_ = sim_.Now();
     const int pages = BufferPagesFor(cmd);
-    if (write_buffer_free_ >= pages && pending_writes_.empty()) {
+    if (write_buffer_free_ >= pages && pending_writes_head_ == nullptr) {
       write_buffer_free_ -= pages;
       AdmitWrite(op);
+    } else if (pending_writes_tail_ == nullptr) {
+      pending_writes_head_ = pending_writes_tail_ = op;
     } else {
-      pending_writes_.push_back(PendingWrite{op});
+      pending_writes_tail_->next_pending = op;
+      pending_writes_tail_ = op;
     }
   }
   return true;
+}
+
+FlashDevice::InFlight* FlashDevice::NewInFlight() {
+  auto* op = ::new (sim::PoolAllocate(sizeof(InFlight))) InFlight();
+  op->live_next = live_head_;
+  if (live_head_ != nullptr) live_head_->live_prev = op;
+  live_head_ = op;
+  return op;
+}
+
+void FlashDevice::FreeInFlight(InFlight* op) {
+  if (op->live_prev != nullptr) {
+    op->live_prev->live_next = op->live_next;
+  } else {
+    live_head_ = op->live_next;
+  }
+  if (op->live_next != nullptr) op->live_next->live_prev = op->live_prev;
+  op->~InFlight();
+  sim::PoolDeallocate(op, sizeof(InFlight));
 }
 
 int FlashDevice::BufferPagesFor(const FlashCommand& cmd) const {
@@ -137,7 +166,7 @@ sim::TimeNs FlashDevice::OccupyDie(uint64_t die, sim::TimeNs service) {
   return done;
 }
 
-void FlashDevice::StartRead(const std::shared_ptr<InFlight>& op) {
+void FlashDevice::StartRead(InFlight* op) {
   const uint32_t spp = profile_.SectorsPerPage();
   const uint64_t first_page = op->cmd.lba / spp;
   const uint64_t last_page = (op->cmd.lba + op->cmd.sectors - 1) / spp;
@@ -164,7 +193,7 @@ void FlashDevice::StartRead(const std::shared_ptr<InFlight>& op) {
   sim_.ScheduleAt(done, [this, op, status] { Complete(op, status); });
 }
 
-void FlashDevice::AdmitWrite(const std::shared_ptr<InFlight>& op) {
+void FlashDevice::AdmitWrite(InFlight* op) {
   // Acknowledge once the data is in the DRAM buffer.
   const sim::TimeNs ack_latency =
       static_cast<sim::TimeNs>(rng_.NextLognormal(
@@ -220,19 +249,20 @@ void FlashDevice::AdmitWrite(const std::shared_ptr<InFlight>& op) {
       metrics_.flush_backlog_chunks->Set(flush_backlog_chunks_);
     }
     write_buffer_free_ += pages_held;
-    while (!pending_writes_.empty()) {
-      auto next = pending_writes_.front().op;
+    while (pending_writes_head_ != nullptr) {
+      InFlight* next = pending_writes_head_;
       const int needed = BufferPagesFor(next->cmd);
       if (write_buffer_free_ < needed) break;
       write_buffer_free_ -= needed;
-      pending_writes_.pop_front();
+      pending_writes_head_ = next->next_pending;
+      if (pending_writes_head_ == nullptr) pending_writes_tail_ = nullptr;
+      next->next_pending = nullptr;
       AdmitWrite(next);
     }
   });
 }
 
-void FlashDevice::Complete(const std::shared_ptr<InFlight>& op,
-                           FlashStatus status) {
+void FlashDevice::Complete(InFlight* op, FlashStatus status) {
   --op->qp->outstanding_;
   FlashCompletion completion;
   completion.status = status;
@@ -266,6 +296,7 @@ void FlashDevice::Complete(const std::shared_ptr<InFlight>& op,
     }
   }
   if (op->cb) op->cb(completion);
+  FreeInFlight(op);
 }
 
 bool FlashDevice::InReadOnlyMode() const {

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -110,6 +109,9 @@ struct FlashDeviceStats {
 class FlashDevice {
  public:
   FlashDevice(sim::Simulator& sim, DeviceProfile profile, uint64_t seed);
+  ~FlashDevice();
+  FlashDevice(const FlashDevice&) = delete;
+  FlashDevice& operator=(const FlashDevice&) = delete;
 
   const DeviceProfile& profile() const { return profile_; }
 
@@ -161,22 +163,30 @@ class FlashDevice {
   void SetFaultPlan(sim::FaultPlan* plan) { fault_ = plan; }
 
  private:
+  /**
+   * One submitted command, from Submit() until Complete() has run its
+   * callback. Records come from the size-class pool (sim/pool.h) and
+   * sit on the device's live list, so ~FlashDevice() frees the records
+   * of commands whose completion never ran.
+   */
   struct InFlight {
     FlashCommand cmd;
     FlashCallback cb;
-    QueuePair* qp;
-    sim::TimeNs submit_time;
-    int chunks_remaining;
+    QueuePair* qp = nullptr;
+    sim::TimeNs submit_time = 0;
+    /** Next write waiting for buffer space (pending_writes_ FIFO). */
+    InFlight* next_pending = nullptr;
+    InFlight* live_prev = nullptr;
+    InFlight* live_next = nullptr;
   };
 
-  struct PendingWrite {
-    std::shared_ptr<InFlight> op;
-  };
-
-  void StartRead(const std::shared_ptr<InFlight>& op);
-  void AdmitWrite(const std::shared_ptr<InFlight>& op);
+  InFlight* NewInFlight();
+  void FreeInFlight(InFlight* op);
+  void StartRead(InFlight* op);
+  void AdmitWrite(InFlight* op);
   int BufferPagesFor(const FlashCommand& cmd) const;
-  void Complete(const std::shared_ptr<InFlight>& op, FlashStatus status);
+  /** Runs op's callback, then frees op. */
+  void Complete(InFlight* op, FlashStatus status);
   /** Occupies the die owning `page` and returns the completion time. */
   sim::TimeNs OccupyDie(uint64_t page, sim::TimeNs service);
   sim::TimeNs ReadServiceQuantum();
@@ -196,7 +206,11 @@ class FlashDevice {
   int next_flush_die_ = 0;
 
   int write_buffer_free_;
-  std::deque<PendingWrite> pending_writes_;
+  /** Writes waiting for write-buffer space, FIFO through next_pending. */
+  InFlight* pending_writes_head_ = nullptr;
+  InFlight* pending_writes_tail_ = nullptr;
+  /** Every record between NewInFlight() and FreeInFlight(). */
+  InFlight* live_head_ = nullptr;
   int64_t flush_backlog_chunks_ = 0;
 
   sim::TimeNs last_write_time_ = -(1LL << 62);

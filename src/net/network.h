@@ -2,9 +2,10 @@
 #define REFLEX_NET_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/stack_costs.h"
@@ -155,14 +156,21 @@ class TcpConnection {
   TcpConnection(Network& net, Machine* client, Machine* server,
                 Transport transport = Transport::kTcp);
 
-  /** Client-to-server message. */
-  void SendToServer(uint32_t bytes, std::function<void()> on_rx_nic) {
-    Send(client_, server_, bytes, std::move(on_rx_nic));
+  /**
+   * Client-to-server message. `on_rx_nic` is any void() callable (or
+   * nullptr); it is stored in the delivery event itself, so sending
+   * allocates nothing as long as it fits the simulator's inline
+   * callback buffer.
+   */
+  template <typename F>
+  void SendToServer(uint32_t bytes, F&& on_rx_nic) {
+    Send(client_, server_, bytes, std::forward<F>(on_rx_nic));
   }
 
   /** Server-to-client message. */
-  void SendToClient(uint32_t bytes, std::function<void()> on_rx_nic) {
-    Send(server_, client_, bytes, std::move(on_rx_nic));
+  template <typename F>
+  void SendToClient(uint32_t bytes, F&& on_rx_nic) {
+    Send(server_, client_, bytes, std::forward<F>(on_rx_nic));
   }
 
   Machine* client() const { return client_; }
@@ -204,8 +212,33 @@ class TcpConnection {
   void Reopen() { closed_ = false; }
 
  private:
-  void Send(Machine* from, Machine* to, uint32_t bytes,
-            std::function<void()> on_rx_nic);
+  template <typename F>
+  void Send(Machine* from, Machine* to, uint32_t bytes, F&& on_rx_nic) {
+    sim::TimeNs arrival = 0;
+    if (!Transmit(from, to, bytes, &arrival)) return;
+    using Fn = std::decay_t<F>;
+    if constexpr (std::is_same_v<Fn, std::nullptr_t>) {
+      net_.sim_.ScheduleAt(arrival, [this] { --in_flight_; });
+    } else {
+      net_.sim_.ScheduleAt(
+          arrival, [this, cb = std::forward<F>(on_rx_nic)]() mutable {
+            --in_flight_;
+            if constexpr (std::is_constructible_v<bool, Fn&>) {
+              if (cb) cb();
+            } else {
+              cb();
+            }
+          });
+    }
+  }
+  /**
+   * Pushes one message of `bytes` through both NICs and the switch.
+   * Returns false if fault injection dropped it; otherwise counts it in
+   * flight and sets *arrival to when its last frame reaches the
+   * receiver NIC.
+   */
+  bool Transmit(Machine* from, Machine* to, uint32_t bytes,
+                sim::TimeNs* arrival);
   /** Rolls connection faults; true means the message was dropped. */
   bool DropFaulted(Machine* from, Machine* to);
 

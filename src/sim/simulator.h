@@ -184,7 +184,14 @@ class Simulator {
       kL0Slots + (kNumLevels - 1) * kLevelSlots;
   static constexpr uint32_t kNilIndex = ~uint32_t{0};
   static constexpr TimeNs kMaxTime = INT64_MAX;
-  static constexpr size_t kInlineCallbackBytes = 64;
+  /**
+   * Inline callback budget, sized to the largest callable on the I/O
+   * path: a request's network delivery event, which carries a whole
+   * core::RequestMsg (TcpConnection's in-flight wrapper around
+   * ServerConnection::Deliver's [thread, conn, msg]). Larger callables
+   * still work but cost one heap allocation each.
+   */
+  static constexpr size_t kInlineCallbackBytes = 144;
   static constexpr uint32_t kChunkSize = 1024;  // nodes per slab chunk
 
   struct Node {

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "sim/logging.h"
+#include "sim/pool.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -68,6 +69,14 @@ class Task {
           std::coroutine_handle<promise_type>::from_promise(*this).address());
     }
 #endif
+    // Frames come from the size-class pool (sim/pool.h), which passes
+    // through to ::operator new under ASan and REFLEX_CORO_DEBUG.
+    static void* operator new(std::size_t bytes) {
+      return PoolAllocate(bytes);
+    }
+    static void operator delete(void* frame, std::size_t bytes) noexcept {
+      PoolDeallocate(frame, bytes);
+    }
     Task get_return_object() noexcept { return Task{}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }
@@ -151,21 +160,28 @@ class Promise;
  * Single-shot value channel between simulation processes. A Future is
  * awaited (at most one waiter); its Promise is fulfilled exactly once.
  * Copies share the same underlying state.
+ *
+ * A default-constructed Future has no state (it allocates nothing; it
+ * is a placeholder to be assigned from Promise::GetFuture()). It is
+ * never Ready(); awaiting it or calling Get() on it fails a check.
  */
 template <typename T>
 class Future {
  public:
-  Future() : state_(std::make_shared<internal::FutureState<T>>()) {}
+  Future() = default;
 
-  bool Ready() const { return state_->value.has_value(); }
+  bool Ready() const { return state_ != nullptr && state_->value.has_value(); }
 
   /** Returns the value. Requires Ready(). */
   const T& Get() const {
-    REFLEX_CHECK(state_->value.has_value());
+    REFLEX_CHECK(state_ != nullptr && state_->value.has_value());
     return *state_->value;
   }
 
-  bool await_ready() const noexcept { return state_->value.has_value(); }
+  bool await_ready() const noexcept {
+    REFLEX_CHECK(state_ != nullptr);  // awaiting a default Future
+    return state_->value.has_value();
+  }
   void await_suspend(std::coroutine_handle<> h) {
     REFLEX_CHECK(!state_->waiter);  // single waiter
     state_->waiter = h;
@@ -180,11 +196,14 @@ class Future {
   std::shared_ptr<internal::FutureState<T>> state_;
 };
 
-/** Producer side of a Future<T>. */
+/** Producer side of a Future<T>. Creates the shared state (from the
+ * size-class pool, sim/pool.h). */
 template <typename T>
 class Promise {
  public:
   explicit Promise(Simulator& sim) {
+    future_.state_ = std::allocate_shared<internal::FutureState<T>>(
+        PoolAllocator<internal::FutureState<T>>());
     future_.state_->sim = &sim;
   }
 

@@ -1,0 +1,176 @@
+// Allocation budget of the remote I/O path: once a closed loop has
+// reached steady state, an I/O from IoSession::Read/Write or
+// BlockDevice::ReadBytes to the flash device and back performs no heap
+// allocation at all. This binary replaces the global operator new and
+// delete with counting versions, so it must stay its own executable.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include "client/block_device.h"
+#include "client/reflex_client.h"
+#include "sim/pool.h"
+#include "testing/harness.h"
+
+namespace {
+// Heap allocations through any global operator new since start-up.
+int64_t g_allocations = 0;
+}  // namespace
+
+// Where the pools pass through (ASan, REFLEX_CORO_DEBUG) the tests skip,
+// and the sanitizer keeps its own operator new.
+#ifndef REFLEX_POOL_PASSTHROUGH
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, std::align_val_t al) {
+  ++g_allocations;
+  const auto a = static_cast<std::size_t>(al);
+  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return ::operator new(n, al);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+#endif
+
+namespace reflex::client {
+namespace {
+
+constexpr uint32_t kPageBytes = 4096;
+constexpr uint32_t kPageSectors = kPageBytes / core::kSectorBytes;
+// Every worker cycles over its own few pages, all written during
+// warm-up, so the device's page store stops growing.
+constexpr uint64_t kPagesPerWorker = 8;
+
+struct LoopState {
+  bool stop = false;
+  int live_workers = 0;
+  int64_t completed = 0;
+  int64_t failed = 0;
+};
+
+// Closed loop on one lane: alternating 4 KiB writes and reads of the
+// worker's own pages, each from/into the worker's buffer.
+sim::Task SessionWorker(IoSession* session, int lane, int index,
+                        LoopState* state) {
+  ++state->live_workers;
+  std::vector<uint8_t> buffer(kPageBytes, static_cast<uint8_t>(index));
+  const uint64_t base = static_cast<uint64_t>(index) * kPagesPerWorker;
+  for (uint64_t i = 0; !state->stop; ++i) {
+    const uint64_t lba = (base + i % kPagesPerWorker) * kPageSectors;
+    IoResult r;
+    if (i % 2 == 0) {
+      r = co_await session->Write(lba, kPageSectors, buffer.data(), lane);
+    } else {
+      r = co_await session->Read(lba, kPageSectors, buffer.data(), lane);
+    }
+    ++state->completed;
+    if (!r.ok()) ++state->failed;
+  }
+  --state->live_workers;
+}
+
+sim::Task BlockWorker(BlockDevice* bdev, int index, LoopState* state) {
+  ++state->live_workers;
+  std::vector<uint8_t> buffer(kPageBytes);
+  const uint64_t base = static_cast<uint64_t>(index) * kPagesPerWorker;
+  for (uint64_t i = 0; !state->stop; ++i) {
+    const uint64_t offset = (base + i % kPagesPerWorker) * kPageBytes;
+    const IoResult r = co_await bdev->ReadBytes(offset, kPageBytes,
+                                                buffer.data());
+    ++state->completed;
+    if (!r.ok()) ++state->failed;
+  }
+  --state->live_workers;
+}
+
+/** Heap allocations per completed I/O over a steady-state window. */
+struct Window {
+  int64_t allocations = 0;
+  int64_t ios = 0;
+};
+
+Window MeasureSteadyState(testing::Harness& h, LoopState& state) {
+  // Warm-up: every pool, ring and slab reaches its high-water mark.
+  h.sim.RunUntil(h.sim.Now() + sim::Millis(200));
+  const int64_t allocs_before = g_allocations;
+  const int64_t ios_before = state.completed;
+  h.sim.RunUntil(h.sim.Now() + sim::Millis(200));
+  Window w{g_allocations - allocs_before, state.completed - ios_before};
+  // Let the loops finish so no frame is left parked.
+  state.stop = true;
+  h.RunUntilReady([&state] { return state.live_workers == 0; });
+  return w;
+}
+
+class AllocBudgetTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (sim::kPoolPassThrough) {
+      GTEST_SKIP() << "pools pass through to operator new under ASan and "
+                      "REFLEX_CORO_DEBUG";
+    }
+  }
+};
+
+TEST_F(AllocBudgetTest, SessionReadWriteLoopAllocatesNothingPerIo) {
+  testing::Harness h;  // one dataplane thread
+  core::Tenant* tenant = h.LcTenant();
+  ReflexClient::Options options = testing::RetryingClientOptions();
+  options.num_connections = 4;
+  ReflexClient client(h.sim, h.server, h.client_machine, options);
+  std::unique_ptr<TenantSession> session =
+      client.AttachSession(tenant->handle());
+  ASSERT_NE(session, nullptr);
+
+  LoopState state;
+  for (int i = 0; i < 8; ++i) SessionWorker(session.get(), i % 4, i, &state);
+  const Window w = MeasureSteadyState(h, state);
+  EXPECT_EQ(state.failed, 0);
+  ASSERT_GT(w.ios, 1000);
+  EXPECT_EQ(w.allocations, 0)
+      << static_cast<double>(w.allocations) / static_cast<double>(w.ios)
+      << " heap allocations per I/O over " << w.ios << " I/Os";
+}
+
+TEST_F(AllocBudgetTest, BlockDeviceReadBytesAllocatesNothingPerIo) {
+  testing::Harness h;
+  core::Tenant* tenant = h.LcTenant();
+  BlockDevice::Options options;
+  options.num_contexts = 2;
+  BlockDevice bdev(h.sim, h.server, h.client_machine, tenant->handle(),
+                   options);
+
+  LoopState state;
+  for (int i = 0; i < 4; ++i) BlockWorker(&bdev, i, &state);
+  const Window w = MeasureSteadyState(h, state);
+  EXPECT_EQ(state.failed, 0);
+  ASSERT_GT(w.ios, 1000);
+  EXPECT_EQ(w.allocations, 0)
+      << static_cast<double>(w.allocations) / static_cast<double>(w.ios)
+      << " heap allocations per I/O over " << w.ios << " I/Os";
+}
+
+}  // namespace
+}  // namespace reflex::client

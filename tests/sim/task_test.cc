@@ -158,5 +158,30 @@ TEST(TaskTest, DeepChainsDoNotOverflowStack) {
   EXPECT_EQ(p.GetFuture().Get(), 5000);
 }
 
+// A default Future is a placeholder without state: Promise creates the
+// state, so declaring a Future to assign later allocates nothing.
+TEST(TaskTest, DefaultFutureIsNeverReady) {
+  Future<int> f;
+  EXPECT_FALSE(f.Ready());
+  Simulator sim;
+  Promise<int> p(sim);
+  f = p.GetFuture();
+  EXPECT_FALSE(f.Ready());
+  p.Set(7);
+  ASSERT_TRUE(f.Ready());
+  EXPECT_EQ(f.Get(), 7);
+}
+
+Task AwaitInt(Future<int> f) { (void)co_await f; }
+
+TEST(TaskDeathTest, GetOnDefaultFutureFailsCheck) {
+  const Future<int> f;
+  EXPECT_DEATH((void)f.Get(), "check failed");
+}
+
+TEST(TaskDeathTest, AwaitingDefaultFutureFailsCheck) {
+  EXPECT_DEATH(AwaitInt(Future<int>()), "check failed");
+}
+
 }  // namespace
 }  // namespace reflex::sim
