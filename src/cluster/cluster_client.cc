@@ -1,6 +1,6 @@
 #include "cluster/cluster_client.h"
 
-#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/logging.h"
@@ -98,316 +98,234 @@ sim::Future<client::IoResult> ClusterSession::Submit(client::IoOp op,
                                                      uint8_t* data,
                                                      int lane) {
   ++requests_issued_;
-  sim::Simulator& sim = client_.cluster().sim();
-  sim::Promise<client::IoResult> promise(sim);
+  sim::Promise<client::IoResult> promise(client_.cluster().sim());
   auto future = promise.GetFuture();
-  Dispatch(op, lba, sectors, data, lane, /*attempt=*/0, sim.Now(),
-           std::move(promise));
+  RunIo(op, lba, sectors, data, lane, std::move(promise));
   return future;
 }
 
-void ClusterSession::Dispatch(client::IoOp op, uint64_t lba,
-                              uint32_t sectors, uint8_t* data, int lane,
-                              int attempt, sim::TimeNs issue_time,
-                              sim::Promise<client::IoResult> promise) {
-  // Route through the client's local map copy: a migration that
-  // commits on the master is invisible here until RefreshMap(), which
-  // is exactly the staleness kWrongShard exists to catch.
-  std::vector<ShardExtent> extents = client_.local_map().Split(lba, sectors);
-  if (attempt == 0 && extents.size() > 1) ++requests_split_;
-  if (op == client::IoOp::kRead) {
-    FanOutRead(std::move(extents), data, lane, op, lba, sectors, attempt,
-               issue_time, std::move(promise));
-  } else {
-    FanOutWrite(std::move(extents), data, lane, op, lba, sectors, attempt,
-                issue_time, std::move(promise));
-  }
+namespace {
+
+/** Where extent `e`'s payload sits in the logical I/O's buffer. */
+uint8_t* ExtentChunk(uint8_t* data, const ShardExtent& e) {
+  if (data == nullptr) return nullptr;
+  return data + static_cast<size_t>(e.buffer_offset_sectors) *
+                    core::kSectorBytes;
 }
 
-sim::Task ClusterSession::RetryWrongShard(
-    client::IoOp op, uint64_t lba, uint32_t sectors, uint8_t* data, int lane,
-    int attempt, sim::TimeNs issue_time,
-    sim::Promise<client::IoResult> promise) {
+/** The bit of the `n`th (0-based) set bit of `mask`. */
+uint32_t NthSetBit(uint32_t mask, uint64_t n) {
+  for (; n > 0; --n) mask &= mask - 1;
+  return mask & (~mask + 1);
+}
+
+}  // namespace
+
+sim::Task ClusterSession::RunIo(client::IoOp op, uint64_t lba,
+                                uint32_t sectors, uint8_t* data, int lane,
+                                sim::Promise<client::IoResult> promise) {
   const uint64_t frame_id = next_frame_id_++;
   co_await sim::SelfHandle(&io_frames_[frame_id]);
-  ++wrong_shard_retries_;
-  client_.RefreshMap();
-  // Doubling backoff: early retries catch a cutover that already
-  // committed (refresh suffices); later ones outwait a drain window
-  // that is still bouncing writes.
-  co_await sim::Delay(client_.cluster().sim(),
-                      kWrongShardBackoffBase << attempt);
-  Dispatch(op, lba, sectors, data, lane, attempt + 1, issue_time,
-           std::move(promise));
-  io_frames_.erase(frame_id);
-}
-
-std::vector<ReplicaTarget> ClusterSession::LiveTargets(
-    const ShardExtent& e) const {
-  std::vector<ReplicaTarget> all = e.AllTargets();
-  std::vector<ReplicaTarget> live;
-  live.reserve(all.size());
-  for (const ReplicaTarget& t : all) {
-    if (!client_.IsDirty(t.shard_index)) live.push_back(t);
-  }
-  // May be empty when every placement is dirty: reads must then fail
-  // closed -- a dirty copy has missed a committed write, so serving it
-  // would return stale data as if it were current.
-  return live;
-}
-
-size_t ClusterSession::SteerChoice(
-    const std::vector<ReplicaTarget>& candidates) {
-  const size_t n = candidates.size();
-  if (n == 1) return 0;
-  // Shallower estimated queue wins; ties break by shard id so the
-  // choice is deterministic for identical hints.
-  auto better = [this, &candidates](size_t a, size_t b) {
-    const double da = client_.EffectiveQueueDepth(candidates[a].shard_index);
-    const double db = client_.EffectiveQueueDepth(candidates[b].shard_index);
-    if (da != db) return da < db;
-    return candidates[a].shard_id < candidates[b].shard_id;
-  };
-  switch (client_.options().steering) {
-    case SteeringPolicy::kPrimaryOnly:
-      return 0;
-    case SteeringPolicy::kFullScan: {
-      size_t best = 0;
-      for (size_t i = 1; i < n; ++i) {
-        if (better(i, best)) best = i;
-      }
-      return best;
-    }
-    case SteeringPolicy::kPowerOfTwo: {
-      if (n <= 2) return better(0, 1) ? 0 : 1;
-      // Two distinct uniform draws; the RNG is consumed only on this
-      // path, so R<=2 configurations draw nothing and stay
-      // bit-identical to their unreplicated runs.
-      size_t i = static_cast<size_t>(steer_rng_.NextBounded(n));
-      size_t j = static_cast<size_t>(steer_rng_.NextBounded(n - 1));
-      if (j >= i) ++j;
-      return better(i, j) ? i : j;
-    }
-  }
-  return 0;
-}
-
-sim::Task ClusterSession::FanOutRead(std::vector<ShardExtent> extents,
-                                     uint8_t* data, int lane,
-                                     client::IoOp op, uint64_t lba,
-                                     uint32_t sectors, int attempt,
-                                     sim::TimeNs issue_time,
-                                     sim::Promise<client::IoResult> promise) {
-  const uint64_t frame_id = next_frame_id_++;
-  co_await sim::SelfHandle(&io_frames_[frame_id]);
-  // One in-flight attempt per extent: issue every extent's steered
-  // first choice before awaiting any, so replicas work in parallel
-  // and the request completes when the slowest extent does.
-  struct ExtentState {
-    std::vector<ReplicaTarget> candidates;
-    std::vector<bool> tried;
-    size_t inflight = 0;  // index into candidates
-    uint8_t* chunk = nullptr;
-    uint32_t sectors = 0;
-    /** Every replica dirty: the extent fails without any I/O. */
-    bool unreadable = false;
-    sim::Future<client::IoResult> future;
-  };
-  std::vector<ExtentState> states;
-  states.reserve(extents.size());
-  for (const ShardExtent& e : extents) {
-    ExtentState st;
-    st.candidates = LiveTargets(e);
-    if (st.candidates.empty()) {
-      st.unreadable = true;
-      states.push_back(std::move(st));
-      continue;
-    }
-    st.tried.assign(st.candidates.size(), false);
-    st.chunk = data == nullptr
-                   ? nullptr
-                   : data + static_cast<size_t>(e.buffer_offset_sectors) *
-                                core::kSectorBytes;
-    st.sectors = e.sectors;
-    st.inflight = SteerChoice(st.candidates);
-    st.tried[st.inflight] = true;
-    const ReplicaTarget& t = st.candidates[st.inflight];
-    st.future = shard_sessions_[t.shard_index]->Read(t.shard_lba, e.sectors,
-                                                     st.chunk, lane);
-    states.push_back(std::move(st));
-  }
-
+  sim::Simulator& sim = client_.cluster().sim();
   client::IoResult result;
-  result.issue_time = issue_time;
-  bool saw_wrong_shard = false;
-  for (ExtentState& st : states) {
-    if (st.unreadable) {
-      if (result.ok()) result.status = core::ReqStatus::kDeviceError;
-      continue;
-    }
-    client::IoResult r = co_await st.future;
-    int serving = st.candidates[st.inflight].shard_index;
-    // Failover: steer away from the failed replica and retry each
-    // untried one (shallowest estimated queue first, ties by shard
-    // id) until a copy serves the read or the set is exhausted.
-    while (!r.ok()) {
-      if (r.status == core::ReqStatus::kWrongShard &&
-          attempt < kMaxWrongShardRetries) {
-        // Stale routing, not a replica fault: every replica in this
-        // (old) placement is equally stale, so failover is pointless.
-        // The whole request reissues off a refreshed map below. Once
-        // the budget is spent it degrades to the ordinary failure
-        // path instead.
-        saw_wrong_shard = true;
-        break;
+  result.issue_time = sim.Now();
+  for (int attempt = 0;; ++attempt) {
+    result.status = core::ReqStatus::kOk;
+    // A kWrongShard within this budget is stale routing, not a fault:
+    // it reissues the whole request below instead of failing over or
+    // marking anyone dirty. Once the budget is spent it degrades to
+    // the ordinary failure path.
+    const bool can_retry = attempt < kMaxWrongShardRetries;
+    bool wrong_shard = false;
+    // Route through the client's local map copy: a migration that
+    // commits on the master is invisible here until RefreshMap(), which
+    // is exactly the staleness kWrongShard exists to catch.
+    const std::vector<ShardExtent> extents =
+        client_.local_map().Split(lba, sectors);
+    if (attempt == 0 && extents.size() > 1) ++requests_split_;
+    // Live, tried and failed placements are uint32_t ordinal bitmasks.
+    REFLEX_CHECK(client_.local_map().replication() <= 32);
+
+    if (op == client::IoOp::kRead) {
+      // One in-flight read per extent: issue every extent's steered
+      // first choice before awaiting any, so replicas work in parallel
+      // and the request completes when the slowest extent does.
+      struct ExtentRead {
+        /** Placements that may serve (not dirty); 0 fails closed -- a
+         * dirty copy missed a committed write, so it would read stale. */
+        uint32_t live = 0;
+        uint32_t tried = 0;
+        size_t serving = 0;  // ordinal in flight
+        sim::Future<client::IoResult> future;
+      };
+      std::vector<ExtentRead> reads(extents.size());
+      for (size_t i = 0; i < extents.size(); ++i) {
+        const ShardExtent& e = extents[i];
+        ExtentRead& st = reads[i];
+        for (size_t k = 0; k < e.targets.size(); ++k) {
+          if (!client_.IsDirty(e.targets[k].shard_index)) st.live |= 1u << k;
+        }
+        if (st.live == 0) continue;
+        st.serving = SteerChoice(e.targets, st.live);
+        st.tried = 1u << st.serving;
+        const ReplicaTarget& t = e.targets[st.serving];
+        st.future = shard_sessions_[t.shard_index]->Read(
+            t.shard_lba, e.sectors, ExtentChunk(data, e), lane);
       }
-      if (r.status == core::ReqStatus::kTimedOut) {
-        client_.PenalizeShard(serving);
-      }
-      size_t next = st.candidates.size();
-      for (size_t i = 0; i < st.candidates.size(); ++i) {
-        if (st.tried[i]) continue;
-        if (next == st.candidates.size()) {
-          next = i;
+      for (size_t i = 0; i < extents.size(); ++i) {
+        const ShardExtent& e = extents[i];
+        ExtentRead& st = reads[i];
+        if (st.live == 0) {
+          if (result.ok()) result.status = core::ReqStatus::kDeviceError;
           continue;
         }
-        const double di =
-            client_.EffectiveQueueDepth(st.candidates[i].shard_index);
-        const double dn =
-            client_.EffectiveQueueDepth(st.candidates[next].shard_index);
-        if (di < dn || (di == dn && st.candidates[i].shard_id <
-                                        st.candidates[next].shard_id)) {
-          next = i;
+        client::IoResult r = co_await st.future;
+        // Failover: retry the shallowest untried live replica until a
+        // copy serves the read or the set is exhausted.
+        while (!r.ok()) {
+          if (r.status == core::ReqStatus::kWrongShard && can_retry) {
+            // Every replica in this (old) placement is equally stale.
+            wrong_shard = true;
+            break;
+          }
+          if (r.status == core::ReqStatus::kTimedOut) {
+            client_.PenalizeShard(e.targets[st.serving].shard_index);
+          }
+          const uint32_t untried = st.live & ~st.tried;
+          if (untried == 0) break;
+          ++read_failovers_;
+          st.serving = Shallowest(e.targets, untried);
+          st.tried |= 1u << st.serving;
+          const ReplicaTarget& t = e.targets[st.serving];
+          r = co_await shard_sessions_[t.shard_index]->Read(
+              t.shard_lba, e.sectors, ExtentChunk(data, e), lane);
+        }
+        if (r.ok()) {
+          // Attribution follows the shard that actually served this
+          // sub-read -- after steering or failover that is not
+          // necessarily the primary.
+          const int serving = e.targets[st.serving].shard_index;
+          shard_latency_[serving].Record(r.Latency());
+          ++shard_reads_served_[serving];
+        } else if (result.ok()) {
+          // First failing extent's status wins (extents are awaited in
+          // logical-LBA order, so the reported status is deterministic).
+          result.status = r.status;
         }
       }
-      if (next == st.candidates.size()) break;  // all replicas tried
-      ++read_failovers_;
-      st.tried[next] = true;
-      st.inflight = next;
-      const ReplicaTarget& t = st.candidates[next];
-      serving = t.shard_index;
-      r = co_await shard_sessions_[t.shard_index]->Read(
-          t.shard_lba, st.sectors, st.chunk, lane);
+    } else {
+      const uint64_t version = client_.NextWriteVersion();
+      // Every placement of every extent -- dirty ones included, so a
+      // lagging copy's divergence stays bounded -- is written in
+      // parallel; an extent commits when at least one copy lands.
+      // Replicas that failed while a sibling succeeded are marked dirty
+      // (they now miss `version`) and serve no reads until reinstated.
+      std::vector<sim::Future<client::IoResult>> writes;
+      writes.reserve(extents.size() *
+                     static_cast<size_t>(client_.local_map().replication()));
+      for (const ShardExtent& e : extents) {
+        for (const ReplicaTarget& t : e.targets) {
+          writes.push_back(shard_sessions_[t.shard_index]->Write(
+              t.shard_lba, e.sectors, ExtentChunk(data, e), lane));
+        }
+      }
+      size_t next = 0;
+      for (const ShardExtent& e : extents) {
+        int ok_live = 0;
+        core::ReqStatus first_fail = core::ReqStatus::kOk;
+        uint32_t failed = 0;
+        for (size_t k = 0; k < e.targets.size(); ++k) {
+          sim::Future<client::IoResult>& write = writes[next++];
+          const client::IoResult r = co_await write;
+          const int shard = e.targets[k].shard_index;
+          if (r.ok()) {
+            // Per-shard service latency of the copy this shard wrote.
+            shard_latency_[shard].Record(r.Latency());
+            // Only a copy on a *readable* (non-dirty) replica can
+            // commit the extent: a dirty replica serves no reads, so
+            // data held only there would make every later read stale.
+            if (!client_.IsDirty(shard)) ++ok_live;
+            continue;
+          }
+          if (first_fail == core::ReqStatus::kOk) first_fail = r.status;
+          if (r.status == core::ReqStatus::kWrongShard && can_retry) {
+            // The shard no longer owns this placement (or is draining
+            // it). It must NOT be marked dirty -- it still serves every
+            // range it does own.
+            wrong_shard = true;
+          } else {
+            failed |= 1u << k;
+          }
+        }
+        if (ok_live == 0) {
+          // No readable copy landed: the extent fails and nobody is
+          // marked dirty (clean replicas missed nothing *committed*;
+          // any copy that did land is a zombie the client never
+          // advertises).
+          if (result.ok()) {
+            result.status = first_fail != core::ReqStatus::kOk
+                                ? first_fail
+                                : core::ReqStatus::kDeviceError;
+          }
+          continue;
+        }
+        for (; failed != 0; failed &= failed - 1) {
+          client_.MarkDirty(
+              e.targets[static_cast<size_t>(std::countr_zero(failed))]
+                  .shard_index,
+              version);
+        }
+      }
     }
-    if (r.ok()) {
-      // Attribution follows the shard that actually served this
-      // sub-read -- after steering or failover that is not
-      // necessarily the primary.
-      shard_latency_[serving].Record(r.Latency());
-      ++shard_reads_served_[serving];
-    } else if (result.ok()) {
-      // First failing extent's status wins (extents are awaited in
-      // logical-LBA order, so the reported status is deterministic).
-      result.status = r.status;
-    }
+    if (!wrong_shard) break;
+    // Reissuing the whole request is idempotent (same payload, every
+    // replica rewritten) and the refreshed map routes the bounced
+    // extent to its post-migration owner. Doubling backoff: early
+    // retries catch a cutover that already committed (refresh
+    // suffices); later ones outwait a drain window that is still
+    // bouncing writes.
+    ++wrong_shard_retries_;
+    client_.RefreshMap();
+    co_await sim::Delay(sim, kWrongShardBackoffBase << attempt);
   }
-  if (saw_wrong_shard && attempt < kMaxWrongShardRetries) {
-    RetryWrongShard(op, lba, sectors, data, lane, attempt, issue_time,
-                    std::move(promise));
-    io_frames_.erase(frame_id);
-    co_return;
-  }
-  result.complete_time = client_.cluster().sim().Now();
+  result.complete_time = sim.Now();
   promise.Set(result);
   io_frames_.erase(frame_id);
 }
 
-sim::Task ClusterSession::FanOutWrite(std::vector<ShardExtent> extents,
-                                      uint8_t* data, int lane,
-                                      client::IoOp op, uint64_t lba,
-                                      uint32_t sectors, int attempt,
-                                      sim::TimeNs issue_time,
-                                      sim::Promise<client::IoResult> promise) {
-  const uint64_t frame_id = next_frame_id_++;
-  co_await sim::SelfHandle(&io_frames_[frame_id]);
-  const uint64_t version = client_.NextWriteVersion();
-  // Every replica of every extent -- dirty ones included, so a lagging
-  // copy's divergence stays bounded -- is written in parallel; an
-  // extent commits when at least one copy lands. Replicas that failed
-  // while a sibling succeeded are marked dirty (they now miss
-  // `version`) and serve no reads until reinstated.
-  struct SubWrite {
-    int shard_index = 0;
-    sim::Future<client::IoResult> future;
-  };
-  std::vector<std::vector<SubWrite>> per_extent;
-  per_extent.reserve(extents.size());
-  for (const ShardExtent& e : extents) {
-    uint8_t* chunk =
-        data == nullptr
-            ? nullptr
-            : data + static_cast<size_t>(e.buffer_offset_sectors) *
-                         core::kSectorBytes;
-    std::vector<ReplicaTarget> targets = e.AllTargets();
-    std::vector<SubWrite> subs;
-    subs.reserve(targets.size());
-    for (const ReplicaTarget& t : targets) {
-      SubWrite sw;
-      sw.shard_index = t.shard_index;
-      sw.future = shard_sessions_[t.shard_index]->Write(t.shard_lba,
-                                                        e.sectors, chunk,
-                                                        lane);
-      subs.push_back(std::move(sw));
+size_t ClusterSession::Shallowest(const std::vector<ReplicaTarget>& targets,
+                                  uint32_t mask) const {
+  // Shallower estimated queue wins; ties break by shard id so the
+  // choice is deterministic for identical hints.
+  size_t best = static_cast<size_t>(std::countr_zero(mask));
+  for (mask &= mask - 1; mask != 0; mask &= mask - 1) {
+    const size_t i = static_cast<size_t>(std::countr_zero(mask));
+    const double di = client_.EffectiveQueueDepth(targets[i].shard_index);
+    const double db = client_.EffectiveQueueDepth(targets[best].shard_index);
+    if (di < db || (di == db && targets[i].shard_id < targets[best].shard_id)) {
+      best = i;
     }
-    per_extent.push_back(std::move(subs));
   }
+  return best;
+}
 
-  client::IoResult result;
-  result.issue_time = issue_time;
-  bool saw_wrong_shard = false;
-  for (std::vector<SubWrite>& subs : per_extent) {
-    int ok_live = 0;
-    core::ReqStatus first_fail = core::ReqStatus::kOk;
-    std::vector<int> failed_shards;
-    for (SubWrite& sw : subs) {
-      const client::IoResult r = co_await sw.future;
-      if (r.ok()) {
-        // Per-shard service latency of the copy this shard wrote.
-        shard_latency_[sw.shard_index].Record(r.Latency());
-        // Only a copy on a *readable* (non-dirty) replica can commit
-        // the extent: a dirty replica serves no reads, so data held
-        // only there would make every later read stale.
-        if (!client_.IsDirty(sw.shard_index)) ++ok_live;
-      } else if (r.status == core::ReqStatus::kWrongShard &&
-                 attempt < kMaxWrongShardRetries) {
-        // The shard no longer owns this placement (or is draining it).
-        // That is stale routing, not a missed write: the shard must
-        // NOT be marked dirty -- it still serves every range it does
-        // own. The whole request reissues off a refreshed map. Once
-        // the retry budget is spent the bounce degrades to the
-        // ordinary failure path (fail-closed dirty marking).
-        saw_wrong_shard = true;
-        if (first_fail == core::ReqStatus::kOk) first_fail = r.status;
-      } else {
-        if (first_fail == core::ReqStatus::kOk) first_fail = r.status;
-        failed_shards.push_back(sw.shard_index);
-      }
-    }
-    if (ok_live == 0) {
-      // No readable copy landed: the extent fails and nobody is
-      // marked dirty (clean replicas missed nothing *committed*; any
-      // copy that did land is a zombie the client never advertises).
-      if (result.ok()) {
-        result.status = first_fail != core::ReqStatus::kOk
-                            ? first_fail
-                            : core::ReqStatus::kDeviceError;
-      }
-    } else {
-      for (int shard : failed_shards) client_.MarkDirty(shard, version);
-    }
+size_t ClusterSession::SteerChoice(const std::vector<ReplicaTarget>& targets,
+                                   uint32_t live) {
+  const int n = std::popcount(live);
+  const SteeringPolicy policy = client_.options().steering;
+  if (n == 1 || policy == SteeringPolicy::kPrimaryOnly) {
+    return static_cast<size_t>(std::countr_zero(live));
   }
-  if (saw_wrong_shard && attempt < kMaxWrongShardRetries) {
-    // Reissuing the whole request is idempotent (same payload, every
-    // replica rewritten) and the refreshed map routes the bounced
-    // extent to its post-migration owner.
-    RetryWrongShard(op, lba, sectors, data, lane, attempt, issue_time,
-                    std::move(promise));
-    io_frames_.erase(frame_id);
-    co_return;
+  if (policy == SteeringPolicy::kPowerOfTwo && n > 2) {
+    // Two distinct uniform draws; the RNG is consumed only on this
+    // path, so R<=2 configurations draw nothing and stay bit-identical
+    // to their unreplicated runs.
+    const uint64_t i = steer_rng_.NextBounded(static_cast<uint64_t>(n));
+    uint64_t j = steer_rng_.NextBounded(static_cast<uint64_t>(n - 1));
+    if (j >= i) ++j;
+    live = NthSetBit(live, i) | NthSetBit(live, j);
   }
-  result.complete_time = client_.cluster().sim().Now();
-  promise.Set(result);
-  io_frames_.erase(frame_id);
+  return Shallowest(targets, live);
 }
 
 ClusterClient::ClusterClient(FlashCluster& cluster, net::Machine* machine)

@@ -43,12 +43,13 @@ bool SteeringPolicyFromName(const std::string& name, SteeringPolicy* out);
 
 /**
  * A tenant's I/O endpoint on a sharded cluster: the session owns one
- * TenantSession per shard and routes each I/O through the cluster's
- * ShardMap. A request contained in one stripe goes to a single shard;
- * one that crosses stripe boundaries is split into per-shard extents,
- * issued in parallel, and completes (scatter-gather) when the slowest
- * extent does -- the returned IoResult carries the first failing
- * status, or kOk if every extent succeeded.
+ * TenantSession per shard and routes each I/O through the client's
+ * copy of the ShardMap. Each logical I/O runs as one coroutine. A
+ * request contained in one stripe goes to a single shard; one that
+ * crosses stripe boundaries is split into per-shard extents, issued in
+ * parallel, and completes (scatter-gather) when the slowest extent
+ * does -- the returned IoResult carries the first failing status, or
+ * kOk if every extent succeeded.
  *
  * With replication (ShardMapOptions::replication > 1) each extent has
  * R placements. Writes go to every replica and succeed if at least
@@ -56,14 +57,18 @@ bool SteeringPolicyFromName(const std::string& name, SteeringPolicy* out);
  * failed while another succeeded are marked dirty on the
  * ClusterClient and serve no reads until reinstated. Reads are
  * steered by the client's SteeringPolicy over per-shard queue-depth
- * hints, fail over to untried live replicas on error or timeout, and
- * fail closed (kDeviceError) when every replica of an extent is
- * dirty.
+ * hints, fail over to the shallowest untried live replica on error or
+ * timeout (the same comparator kFullScan steers with), and fail
+ * closed (kDeviceError) when every replica of an extent is dirty.
+ * A kWrongShard bounce (the local map predates a migration cutover)
+ * refreshes the map, backs off and reissues the whole request, up to
+ * kMaxWrongShardRetries times.
  *
  * Sessions from ClusterClient::OpenSession() own the cluster-wide
  * tenant registration and unregister it on destruction (mirroring
  * client::TenantSession); AttachSession() leaves lifetime with the
- * caller.
+ * caller. Destroying a session with I/O in flight destroys the parked
+ * I/O frames; their futures never resolve.
  */
 class ClusterSession : public client::IoSession {
  public:
@@ -140,45 +145,40 @@ class ClusterSession : public client::IoSession {
   sim::Future<client::IoResult> Submit(client::IoOp op, uint64_t lba,
                                        uint32_t sectors, uint8_t* data,
                                        int lane);
-  /** Splits via the client's local map and fans the attempt out. */
-  void Dispatch(client::IoOp op, uint64_t lba, uint32_t sectors,
-                uint8_t* data, int lane, int attempt, sim::TimeNs issue_time,
-                sim::Promise<client::IoResult> promise);
   /**
-   * A sub-request came back kWrongShard: the routing map copy predates
-   * a migration cutover. Refreshes the map, backs off (doubling per
-   * attempt) and reissues the whole logical request; once the budget
-   * is spent the kWrongShard surfaces to the caller.
+   * One logical I/O, start to finish, in one frame registered once in
+   * io_frames_. Each attempt splits the request against the client's
+   * local map and fans it out: reads steer, then fail over; writes go
+   * to every placement, then mark the replicas that missed a commit
+   * dirty. A sub-request that comes back kWrongShard means the routing
+   * map predates a migration cutover: within the retry budget the
+   * attempt refreshes the map, backs off (doubling per attempt) and
+   * loops; otherwise `promise` is set with the attempt's result.
    */
-  sim::Task RetryWrongShard(client::IoOp op, uint64_t lba, uint32_t sectors,
-                            uint8_t* data, int lane, int attempt,
-                            sim::TimeNs issue_time,
-                            sim::Promise<client::IoResult> promise);
-  sim::Task FanOutRead(std::vector<ShardExtent> extents, uint8_t* data,
-                       int lane, client::IoOp op, uint64_t lba,
-                       uint32_t sectors, int attempt, sim::TimeNs issue_time,
-                       sim::Promise<client::IoResult> promise);
-  sim::Task FanOutWrite(std::vector<ShardExtent> extents, uint8_t* data,
-                        int lane, client::IoOp op, uint64_t lba,
-                        uint32_t sectors, int attempt, sim::TimeNs issue_time,
-                        sim::Promise<client::IoResult> promise);
+  sim::Task RunIo(client::IoOp op, uint64_t lba, uint32_t sectors,
+                  uint8_t* data, int lane,
+                  sim::Promise<client::IoResult> promise);
 
-  /** Live (non-dirty) placements of `e`, primary first; empty when
-   * every replica is marked dirty (reads then fail closed). */
-  std::vector<ReplicaTarget> LiveTargets(const ShardExtent& e) const;
+  /** The placement in `mask` (a bitmask over `targets`' ordinals) with
+   * the shallowest estimated queue, ties broken by shard id. Failover
+   * asks it for the shallowest untried live replica. */
+  size_t Shallowest(const std::vector<ReplicaTarget>& targets,
+                    uint32_t mask) const;
 
-  /** Picks the steered first choice among `candidates` (index into
-   * the vector). Draws from steer_rng_ only for power-of-two with
-   * more than two candidates, so R=1 consumes no randomness. */
-  size_t SteerChoice(const std::vector<ReplicaTarget>& candidates);
+  /** Picks the steered first choice among the `live` ordinals of
+   * `targets`. Draws from steer_rng_ only for power-of-two with more
+   * than two candidates, so R=1 consumes no randomness. */
+  size_t SteerChoice(const std::vector<ReplicaTarget>& targets,
+                     uint32_t live);
 
   ClusterClient& client_;
   ClusterTenant tenant_;
-  /** Live FanOutRead/FanOutWrite/RetryWrongShard frames by id. Each
-   * erases itself before finishing; whatever remains at teardown is
-   * parked on a sub-I/O (or backoff Delay) that will never resolve and
-   * is destroyed by ~ClusterSession. std::map for node stability --
-   * the frames park SelfHandle pointers into the mapped values. */
+  /** Live RunIo frames by id. Each erases itself before finishing;
+   * whatever remains at teardown is parked on a sub-I/O or the backoff
+   * Delay and is destroyed by ~ClusterSession (the parked awaiter
+   * disarms itself, so nothing resumes the freed frame). std::map for
+   * node stability -- the frames park SelfHandle pointers into the
+   * mapped values. */
   std::map<uint64_t, std::coroutine_handle<>> io_frames_;
   uint64_t next_frame_id_ = 0;
   std::vector<std::unique_ptr<client::TenantSession>> shard_sessions_;

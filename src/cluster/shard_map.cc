@@ -182,17 +182,13 @@ std::vector<ShardExtent> ShardMap::Split(uint64_t lba,
     const uint32_t run = std::min(
         remaining, static_cast<uint32_t>(stripe_sectors - within));
     std::vector<ReplicaTarget> targets = TargetsForStripe(stripe, within);
-    const ReplicaTarget& primary = targets[0];
-    // Merge with the previous extent only when every placement --
-    // primary and each replica ordinal -- continues contiguously on
-    // the same shard, so one merged extent still describes one
-    // contiguous run per target.
+    // Merge with the previous extent only when every placement ordinal
+    // continues contiguously on the same shard, so one merged extent
+    // still describes one contiguous run per target.
     bool mergeable =
-        !out.empty() && out.back().shard_index == primary.shard_index &&
-        out.back().shard_lba + out.back().sectors == primary.shard_lba &&
-        out.back().replicas.size() == targets.size() - 1;
-    for (size_t k = 1; mergeable && k < targets.size(); ++k) {
-      const ReplicaTarget& prev = out.back().replicas[k - 1];
+        !out.empty() && out.back().targets.size() == targets.size();
+    for (size_t k = 0; mergeable && k < targets.size(); ++k) {
+      const ReplicaTarget& prev = out.back().targets[k];
       mergeable = prev.shard_index == targets[k].shard_index &&
                   prev.shard_lba + out.back().sectors ==
                       targets[k].shard_lba;
@@ -200,14 +196,7 @@ std::vector<ShardExtent> ShardMap::Split(uint64_t lba,
     if (mergeable) {
       out.back().sectors += run;
     } else {
-      ShardExtent e;
-      e.shard_index = primary.shard_index;
-      e.shard_id = primary.shard_id;
-      e.shard_lba = primary.shard_lba;
-      e.sectors = run;
-      e.buffer_offset_sectors = buffer_offset;
-      e.replicas.assign(targets.begin() + 1, targets.end());
-      out.push_back(std::move(e));
+      out.push_back(ShardExtent{std::move(targets), run, buffer_offset});
     }
     cur += run;
     remaining -= run;

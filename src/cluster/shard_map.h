@@ -83,34 +83,23 @@ struct MigrationAssignment {
 };
 
 /**
- * One shard-local piece of a logical I/O: which shard serves it, the
- * LBA in that shard's address space, and where its payload sits in the
- * caller's buffer (so scatter-gather reassembly is byte-exact).
+ * One shard-local piece of a logical I/O: where it lives (every
+ * placement's shard and shard-local LBA) and where its payload sits in
+ * the caller's buffer (so scatter-gather reassembly is byte-exact).
  */
 struct ShardExtent {
-  int shard_index = 0;
-  uint32_t shard_id = 0;
-  uint64_t shard_lba = 0;
+  /**
+   * All R placements of this extent, primary first (ordinal k at index
+   * k; exactly one when replication == 1). Each holds the same
+   * `sectors` run starting at its own shard_lba. Writes go to every
+   * placement; reads may be steered to any of them.
+   */
+  std::vector<ReplicaTarget> targets;
   uint32_t sectors = 0;
   /** Offset of this extent's payload in the logical I/O's buffer. */
   uint32_t buffer_offset_sectors = 0;
 
-  /**
-   * Replica placements of this extent beyond the primary (ordinals
-   * 1..R-1; empty when replication == 1). Each replica holds the same
-   * `sectors` run starting at its own shard_lba. Writes go to the
-   * primary and every replica; reads may be steered to any of them.
-   */
-  std::vector<ReplicaTarget> replicas;
-
-  /** All R placements, primary first (for uniform iteration). */
-  std::vector<ReplicaTarget> AllTargets() const {
-    std::vector<ReplicaTarget> out;
-    out.reserve(1 + replicas.size());
-    out.push_back(ReplicaTarget{shard_index, shard_id, shard_lba});
-    out.insert(out.end(), replicas.begin(), replicas.end());
-    return out;
-  }
+  const ReplicaTarget& primary() const { return targets.front(); }
 };
 
 /**

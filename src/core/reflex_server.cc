@@ -277,6 +277,10 @@ void ReflexServer::OnGatedIoDone(int gate_id) {
   if (gate == nullptr) return;
   REFLEX_CHECK(gate->inflight_writes > 0);
   --gate->inflight_writes;
+  // Dirty again on completion, not only on arrival: a copy read that
+  // started after the write arrived (clearing the bit) but before it
+  // reached flash missed it, and only this forces the recopy.
+  gate->dirty = true;
 }
 
 DataplaneStats ReflexServer::AggregateStats() const {

@@ -116,20 +116,30 @@ class SelfHandle {
  * Awaitable that suspends the current task for `delay` of simulated
  * time. A zero (or negative) delay still round-trips through the event
  * queue so that same-time events retain FIFO ordering.
+ *
+ * A frame destroyed while parked here cancels its wake-up event (the
+ * awaiter dies with the frame), so the timer never resumes freed
+ * memory.
  */
 class Delay {
  public:
   Delay(Simulator& sim, TimeNs delay) : sim_(sim), delay_(delay) {}
+  Delay(const Delay&) = delete;
+  Delay& operator=(const Delay&) = delete;
+  ~Delay() {
+    if (timer_.issued()) sim_.Cancel(timer_);
+  }
 
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
-    sim_.ScheduleAfter(delay_ > 0 ? delay_ : 0, [h] { h.resume(); });
+    timer_ = sim_.ScheduleAfter(delay_ > 0 ? delay_ : 0, [h] { h.resume(); });
   }
-  void await_resume() const noexcept {}
+  void await_resume() noexcept { timer_ = TimerHandle(); }
 
  private:
   Simulator& sim_;
   TimeNs delay_;
+  TimerHandle timer_;
 };
 
 namespace internal {
@@ -139,6 +149,8 @@ struct FutureState {
   Simulator* sim = nullptr;
   std::optional<T> value;
   std::coroutine_handle<> waiter;
+  /** The delivered waiter's pending resume event. */
+  TimerHandle resume;
 
   void Deliver() {
     if (waiter) {
@@ -146,7 +158,7 @@ struct FutureState {
       waiter = nullptr;
       // Resume through the event queue: keeps stack depth bounded and
       // event ordering deterministic.
-      sim->ScheduleAfter(0, [h] { h.resume(); });
+      resume = sim->ScheduleAfter(0, [h] { h.resume(); });
     }
   }
 };
@@ -178,17 +190,44 @@ class Future {
     return *state_->value;
   }
 
-  bool await_ready() const noexcept {
-    REFLEX_CHECK(state_ != nullptr);  // awaiting a default Future
-    return state_->value.has_value();
-  }
-  void await_suspend(std::coroutine_handle<> h) {
-    REFLEX_CHECK(!state_->waiter);  // single waiter
-    state_->waiter = h;
-  }
-  T await_resume() {
-    REFLEX_CHECK(state_->value.has_value());
-    return std::move(*state_->value);
+  /**
+   * Awaiting registers the frame as the single waiter. A frame
+   * destroyed while parked here (the awaiter dies with the frame)
+   * drops that registration, or cancels the resume event if the value
+   * was already delivered, so nothing resumes the freed frame.
+   */
+  auto operator co_await() const noexcept {
+    struct Awaiter {
+      internal::FutureState<T>* state;
+      std::coroutine_handle<> parked;
+
+      explicit Awaiter(internal::FutureState<T>* s) : state(s) {}
+      Awaiter(const Awaiter&) = delete;
+      Awaiter& operator=(const Awaiter&) = delete;
+      ~Awaiter() {
+        if (!parked) return;  // never suspended, or already resumed
+        if (state->waiter == parked) {
+          state->waiter = nullptr;
+        } else {
+          state->sim->Cancel(state->resume);
+        }
+      }
+      bool await_ready() const {
+        REFLEX_CHECK(state != nullptr);  // awaiting a default Future
+        return state->value.has_value();
+      }
+      void await_suspend(std::coroutine_handle<> h) {
+        REFLEX_CHECK(!state->waiter);  // single waiter
+        state->waiter = h;
+        parked = h;
+      }
+      T await_resume() {
+        parked = nullptr;
+        REFLEX_CHECK(state->value.has_value());
+        return std::move(*state->value);
+      }
+    };
+    return Awaiter(state_.get());
   }
 
  private:

@@ -265,7 +265,7 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
         skip_mutation_pending = false;
         extents.pop_back();
         for (const cluster::ShardExtent& e : extents) {
-          for (const cluster::ReplicaTarget& target : e.AllTargets()) {
+          for (const cluster::ReplicaTarget& target : e.targets) {
             d.extent_futures.push_back(
                 d.session->shard_session(target.shard_index)
                     .Write(target.shard_lba, e.sectors,
@@ -280,15 +280,14 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
     if (stale_mutation_pending) {
       std::vector<cluster::ShardExtent> extents =
           cluster.shard_map().Split(d.lba, d.sectors);
-      if (!extents.empty() && !extents.front().replicas.empty()) {
+      if (!extents.empty() && extents.front().targets.size() > 1) {
         // Planted bug: write every placement except the first extent's
         // last replica, report full success, and remember the skipped
         // replica for a direct probe read once the write resolves.
         stale_mutation_pending = false;
         for (size_t ei = 0; ei < extents.size(); ++ei) {
           const cluster::ShardExtent& e = extents[ei];
-          const std::vector<cluster::ReplicaTarget> targets =
-              e.AllTargets();
+          const std::vector<cluster::ReplicaTarget>& targets = e.targets;
           for (size_t ti = 0; ti < targets.size(); ++ti) {
             if (ei == 0 && ti + 1 == targets.size()) continue;  // skipped
             d.extent_futures.push_back(
@@ -300,7 +299,7 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
           }
         }
         d.probe_pending = true;
-        d.probe_target = extents.front().AllTargets().back();
+        d.probe_target = extents.front().targets.back();
         d.probe_lba = d.lba;  // extent 0 starts at the logical LBA
         d.probe_sectors = extents.front().sectors;
         return;

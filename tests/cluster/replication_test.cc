@@ -93,10 +93,10 @@ TEST(ReplicationTest, ReplicationOneIsIdenticalToUnreplicatedMap) {
       const auto b = plain.Split(lba, 24);
       ASSERT_EQ(a.size(), b.size());
       for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].shard_index, b[i].shard_index);
-        EXPECT_EQ(a[i].shard_lba, b[i].shard_lba);
+        EXPECT_EQ(a[i].primary().shard_index, b[i].primary().shard_index);
+        EXPECT_EQ(a[i].primary().shard_lba, b[i].primary().shard_lba);
         EXPECT_EQ(a[i].sectors, b[i].sectors);
-        EXPECT_TRUE(a[i].replicas.empty());
+        EXPECT_TRUE(a[i].targets.size() == 1);
       }
     }
   }
@@ -128,8 +128,8 @@ TEST(ReplicationTest, ReplicatedWriteLandsOnEveryReplica) {
   // hold a byte-exact copy of its extent.
   const auto extents = h.cluster.shard_map().Split(0, kSectors);
   for (const ShardExtent& e : extents) {
-    ASSERT_EQ(e.replicas.size(), 1u);
-    for (const ReplicaTarget& t : e.AllTargets()) {
+    ASSERT_EQ(e.targets.size() - 1, 1u);
+    for (const ReplicaTarget& t : e.targets) {
       std::vector<uint8_t> in(
           static_cast<size_t>(e.sectors) * core::kSectorBytes, 0);
       auto read = session->shard_session(t.shard_index)
@@ -265,6 +265,74 @@ TEST(ReplicationTest, DirtyReplicaStillReceivesWritesAndServesAfterReinstate) {
   EXPECT_EQ(session->shard_reads_served(1), 1);
   EXPECT_EQ(std::memcmp(in.data(), out.data(), out.size()), 0)
       << "the reinstated replica must hold the write issued while dirty";
+}
+
+/** Outcome of one failover probe read. */
+struct FailoverRun {
+  int served_by = -1;
+  int64_t failovers = 0;
+  int64_t served_by_dirty = 0;
+};
+
+/**
+ * One stripe-0 read (placements: shards 0, 1, ..., R-1, primary first)
+ * on a 4-shard cluster under primary-only steering, so the first
+ * choice is always shard 0. `failing` shards answer every I/O with a
+ * device error. `penalized` shards get a penalty hint 100 us apart:
+ * the hint decays linearly, so each later one has the deeper
+ * estimated queue. `dirty` (or -1) is marked dirty and, never having
+ * been penalized, is the shallowest placement of all.
+ */
+FailoverRun RunFailover(int replication, const std::vector<int>& failing,
+                        const std::vector<int>& penalized, int dirty) {
+  ClusterHarness h(ClusterHarness::MakeOptions(4, 8, replication));
+  sim::FaultPlan plan(h.sim, 17);
+  for (int shard : failing) h.cluster.server(shard).SetFaultPlan(&plan);
+  plan.ScheduleWindow(sim::FaultKind::kServerDeviceError, sim::Micros(1),
+                      sim::Seconds(10));
+  auto session = h.client.OpenSession(SloSpec{}, TenantClass::kBestEffort);
+  EXPECT_NE(session, nullptr);
+  if (dirty >= 0) h.client.MarkDirty(dirty, 1);
+  for (int shard : penalized) {
+    h.client.PenalizeShard(shard);
+    h.sim.RunUntil(h.sim.Now() + sim::Micros(100));
+  }
+
+  FailoverRun run;
+  auto read = session->Read(/*lba=*/0, /*sectors=*/4);
+  EXPECT_TRUE(h.Await(read));
+  EXPECT_TRUE(read.Get().ok()) << "the last untried replica serves";
+  for (int shard = 0; shard < 4; ++shard) {
+    if (session->shard_reads_served(shard) > 0) run.served_by = shard;
+  }
+  run.failovers = session->read_failovers();
+  if (dirty >= 0) run.served_by_dirty = session->shard_reads_served(dirty);
+  return run;
+}
+
+// R=3 failover order: after the first choice errors, failover tries
+// the shallowest untried replica, then the last one. Shard 2's penalty
+// is older than shard 1's, so shard 2 is shallower and goes second.
+TEST(ReplicationTest, FailoverTriesShallowestUntriedReplicaNext) {
+  const FailoverRun run = RunFailover(3, {0, 2}, {2, 1}, -1);
+  EXPECT_EQ(run.failovers, 2) << "0 -> 2 -> 1, not 0 -> 1";
+  EXPECT_EQ(run.served_by, 1);
+}
+
+// Equal hints: the tie breaks by shard id (0 -> 1 -> 2).
+TEST(ReplicationTest, FailoverBreaksHintTiesByShardId) {
+  const FailoverRun run = RunFailover(3, {0, 1}, {}, -1);
+  EXPECT_EQ(run.failovers, 2);
+  EXPECT_EQ(run.served_by, 2);
+}
+
+// A dirty replica is never a failover candidate, even as the
+// shallowest placement: with shard 3 dirty the order stays 0 -> 2 -> 1.
+TEST(ReplicationTest, FailoverNeverTriesADirtyReplica) {
+  const FailoverRun run = RunFailover(4, {0, 2}, {2, 1}, /*dirty=*/3);
+  EXPECT_EQ(run.failovers, 2);
+  EXPECT_EQ(run.served_by, 1);
+  EXPECT_EQ(run.served_by_dirty, 0);
 }
 
 // Round-trips under every steering policy on a replicated cluster.

@@ -82,14 +82,14 @@ void CheckMapIntegrity(const ShardMap& map) {
 
     const auto extents = map.Split(s * kStripeSectors, kStripeSectors);
     ASSERT_EQ(extents.size(), 1u) << "stripe " << s;
-    EXPECT_EQ(extents[0].shard_index, targets[0].shard_index);
-    EXPECT_EQ(extents[0].shard_lba, targets[0].shard_lba);
+    EXPECT_EQ(extents[0].primary().shard_index, targets[0].shard_index);
+    EXPECT_EQ(extents[0].primary().shard_lba, targets[0].shard_lba);
     EXPECT_EQ(extents[0].sectors, kStripeSectors);
-    ASSERT_EQ(extents[0].replicas.size(), static_cast<size_t>(r - 1));
+    ASSERT_EQ(extents[0].targets.size() - 1, static_cast<size_t>(r - 1));
     for (int k = 1; k < r; ++k) {
-      EXPECT_EQ(extents[0].replicas[k - 1].shard_index,
+      EXPECT_EQ(extents[0].targets[k].shard_index,
                 targets[k].shard_index);
-      EXPECT_EQ(extents[0].replicas[k - 1].shard_lba, targets[k].shard_lba);
+      EXPECT_EQ(extents[0].targets[k].shard_lba, targets[k].shard_lba);
     }
   }
 

@@ -38,8 +38,8 @@ TEST(ShardMapTest, StripedRoutingIsRoundRobinWithDenseShardLbas) {
               static_cast<int>(stripe % 4));
     auto extents = map.Split(stripe * 8, 8);
     ASSERT_EQ(extents.size(), 1u);
-    EXPECT_EQ(extents[0].shard_index, static_cast<int>(stripe % 4));
-    EXPECT_EQ(extents[0].shard_lba, (stripe / 4) * 8);
+    EXPECT_EQ(extents[0].primary().shard_index, static_cast<int>(stripe % 4));
+    EXPECT_EQ(extents[0].primary().shard_lba, (stripe / 4) * 8);
     EXPECT_EQ(extents[0].sectors, 8u);
     EXPECT_EQ(extents[0].buffer_offset_sectors, 0u);
   }
@@ -52,18 +52,18 @@ TEST(ShardMapTest, BoundaryCrossingIoSplitsWithExactBufferOffsets) {
   auto extents = map.Split(4, 16);
   ASSERT_EQ(extents.size(), 3u);
 
-  EXPECT_EQ(extents[0].shard_index, 0);
-  EXPECT_EQ(extents[0].shard_lba, 4u);
+  EXPECT_EQ(extents[0].primary().shard_index, 0);
+  EXPECT_EQ(extents[0].primary().shard_lba, 4u);
   EXPECT_EQ(extents[0].sectors, 4u);
   EXPECT_EQ(extents[0].buffer_offset_sectors, 0u);
 
-  EXPECT_EQ(extents[1].shard_index, 1);
-  EXPECT_EQ(extents[1].shard_lba, 0u);
+  EXPECT_EQ(extents[1].primary().shard_index, 1);
+  EXPECT_EQ(extents[1].primary().shard_lba, 0u);
   EXPECT_EQ(extents[1].sectors, 8u);
   EXPECT_EQ(extents[1].buffer_offset_sectors, 4u);
 
-  EXPECT_EQ(extents[2].shard_index, 2);
-  EXPECT_EQ(extents[2].shard_lba, 0u);
+  EXPECT_EQ(extents[2].primary().shard_index, 2);
+  EXPECT_EQ(extents[2].primary().shard_lba, 0u);
   EXPECT_EQ(extents[2].sectors, 4u);
   EXPECT_EQ(extents[2].buffer_offset_sectors, 12u);
 }
@@ -74,7 +74,7 @@ TEST(ShardMapTest, SingleShardMergesEverythingIntoOneExtent) {
   // merge back into a single extent.
   auto extents = map.Split(3, 1000);
   ASSERT_EQ(extents.size(), 1u);
-  EXPECT_EQ(extents[0].shard_lba, 3u);
+  EXPECT_EQ(extents[0].primary().shard_lba, 3u);
   EXPECT_EQ(extents[0].sectors, 1000u);
 }
 
@@ -107,8 +107,8 @@ TEST(ShardMapTest, RoutingStableUnderShardAddOrder) {
       const auto b = shuffled.Split(lba, sectors);
       ASSERT_EQ(a.size(), b.size());
       for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].shard_id, b[i].shard_id);
-        EXPECT_EQ(a[i].shard_lba, b[i].shard_lba);
+        EXPECT_EQ(a[i].primary().shard_id, b[i].primary().shard_id);
+        EXPECT_EQ(a[i].primary().shard_lba, b[i].primary().shard_lba);
         EXPECT_EQ(a[i].sectors, b[i].sectors);
         EXPECT_EQ(a[i].buffer_offset_sectors, b[i].buffer_offset_sectors);
       }
@@ -173,7 +173,7 @@ TEST(ShardMapTest, IoEndingExactlyOnLastSectorIsServed) {
   auto last_sector = map.Split(capacity - 1, 1);
   ASSERT_EQ(last_sector.size(), 1u);
   EXPECT_EQ(last_sector[0].sectors, 1u);
-  EXPECT_EQ(last_sector[0].shard_index,
+  EXPECT_EQ(last_sector[0].primary().shard_index,
             map.ShardIndexForStripe(capacity / 8 - 1));
 
   // A request crossing a boundary but ending exactly at capacity.
@@ -203,11 +203,11 @@ TEST(ShardMapTest, SingleRequestCanSpanEveryShard) {
   ASSERT_EQ(extents.size(), 4u);
   std::vector<bool> seen(kShards, false);
   for (int i = 0; i < kShards; ++i) {
-    EXPECT_EQ(extents[i].shard_index, i);
+    EXPECT_EQ(extents[i].primary().shard_index, i);
     EXPECT_EQ(extents[i].sectors, 8u);
     EXPECT_EQ(extents[i].buffer_offset_sectors,
               static_cast<uint32_t>(i) * 8u);
-    seen[extents[i].shard_index] = true;
+    seen[extents[i].primary().shard_index] = true;
   }
   for (int i = 0; i < kShards; ++i) EXPECT_TRUE(seen[i]);
 }
@@ -261,12 +261,12 @@ TEST(ShardMapTest, PropertySplitTilesLogicalRangeExactly) {
           const uint64_t cur = logical + k;
           const uint64_t stripe = cur / 16;
           const uint32_t within = static_cast<uint32_t>(cur % 16);
-          ASSERT_EQ(map.ShardIndexForStripe(stripe), e.shard_index);
+          ASSERT_EQ(map.ShardIndexForStripe(stripe), e.primary().shard_index);
           const uint64_t want_lba =
               placement == Placement::kStriped
                   ? (stripe / 5) * 16 + within
                   : cur;
-          ASSERT_EQ(e.shard_lba + k, want_lba);
+          ASSERT_EQ(e.primary().shard_lba + k, want_lba);
         }
         logical += e.sectors;
         buffer += e.sectors;

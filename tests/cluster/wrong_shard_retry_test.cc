@@ -156,5 +156,42 @@ TEST(WrongShardRetryTest, WrongShardRetriesAreDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
+// Tearing a session down with I/O in flight: one logical I/O is parked
+// in the wrong-shard backoff Delay, another on a sub-read. The session
+// destroys both frames, and the simulation then keeps running past the
+// backoff and the sub-read's response -- neither may resume a freed
+// frame (ASan), and no frame may outlive the session
+// (REFLEX_CORO_DEBUG's ~Simulator check).
+TEST(WrongShardRetryTest, SessionTeardownWithIoInFlightFreesEveryFrame) {
+  ClusterHarness h(MobileOptions());
+  const int gate_id = h.cluster.server(0).AddRangeGate(0, kStripeSectors);
+  core::RangeGate* gate = h.cluster.server(0).FindRangeGate(gate_id);
+  ASSERT_NE(gate, nullptr);
+  gate->state = core::RangeGateState::kMoved;
+  gate->min_epoch = ~uint64_t{0} - 1;  // stripe 0 bounces every attempt
+
+  auto session = h.client.OpenSession(SloSpec{}, TenantClass::kBestEffort);
+  ASSERT_NE(session, nullptr);
+  auto bounced = session->Read(0, kStripeSectors);
+  // Step finely until the first bounce: the I/O is then inside its
+  // 50 us backoff Delay.
+  const sim::TimeNs deadline = h.sim.Now() + sim::Millis(10);
+  while (session->wrong_shard_retries() == 0 && h.sim.Now() < deadline) {
+    h.sim.RunUntil(h.sim.Now() + sim::Micros(1));
+  }
+  ASSERT_EQ(session->wrong_shard_retries(), 1);
+  // Stripe 1 lives on shard 1, which has no gate: this one is parked
+  // on its sub-read when the session goes away.
+  std::vector<uint8_t> in(kStripeSectors * core::kSectorBytes, 0);
+  auto parked = session->Read(kStripeSectors, kStripeSectors, in.data());
+  ASSERT_FALSE(bounced.Ready());
+  ASSERT_FALSE(parked.Ready());
+
+  session.reset();
+  h.sim.RunUntil(h.sim.Now() + sim::Millis(5));
+  EXPECT_FALSE(bounced.Ready()) << "an abandoned I/O never resolves";
+  EXPECT_FALSE(parked.Ready());
+}
+
 }  // namespace
 }  // namespace reflex

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/cost_model.h"
+#include "core/protocol.h"
 #include "core/qos_scheduler.h"
 #include "core/tenant.h"
 #include "sim/random.h"
@@ -21,6 +22,9 @@ using sim::Micros;
 
 // (num LC tenants, num BE tenants, seed)
 using Shape = std::tuple<int, int, uint64_t>;
+
+/** Largest request the random traffic draws (32KB; the rest are 4KB). */
+constexpr uint32_t kMaxRequestSectors = 64;
 
 class SchedulerPropertyTest : public ::testing::TestWithParam<Shape> {
  protected:
@@ -37,6 +41,15 @@ class SchedulerPropertyTest : public ::testing::TestWithParam<Shape> {
 TEST_P(SchedulerPropertyTest, InvariantsUnderRandomTraffic) {
   const auto [num_lc, num_be, seed] = GetParam();
   sim::Rng rng(seed, "sched_property");
+
+  // Deficit bounds, from the scheduler config and the cost model: an
+  // LC tenant is throttled once its balance passes NEG_LIMIT, but the
+  // request that crosses it still submits, so it may overshoot by one
+  // request's cost. The largest request drawn below is a 32KB write.
+  const double neg_limit = -QosScheduler::Config{}.neg_limit;
+  const double max_request_cost = cost_model_.TokensFor(
+      flash::FlashOp::kWrite, kMaxRequestSectors * kSectorBytes,
+      /*device_read_only=*/false);
 
   std::vector<std::unique_ptr<Tenant>> tenants;
   // Every tenant draws a rate. LC tenants keep theirs; BE tenants all
@@ -75,7 +88,7 @@ TEST_P(SchedulerPropertyTest, InvariantsUnderRandomTraffic) {
     // LC balances may go negative but never beyond NEG_LIMIT minus one
     // request's cost; BE balances never go negative at all.
     if (t.IsLatencyCritical()) {
-      EXPECT_GT(t.tokens(), -50.0 - 80.0 - 1e-9);
+      EXPECT_GT(t.tokens(), -neg_limit - max_request_cost - 1e-9);
     } else {
       EXPECT_GE(t.tokens(), -1e-9);
     }
@@ -90,7 +103,7 @@ TEST_P(SchedulerPropertyTest, InvariantsUnderRandomTraffic) {
       PendingIo io;
       io.msg.type =
           rng.NextBernoulli(0.8) ? ReqType::kRead : ReqType::kWrite;
-      io.msg.sectors = rng.NextBernoulli(0.9) ? 8 : 64;  // 4KB or 32KB
+      io.msg.sectors = rng.NextBernoulli(0.9) ? 8 : kMaxRequestSectors;
       io.msg.cookie = next_cookie[idx]++;
       sched_.Enqueue(now, tenants[idx].get(), std::move(io));
       ++enqueued;
@@ -109,9 +122,11 @@ TEST_P(SchedulerPropertyTest, InvariantsUnderRandomTraffic) {
   EXPECT_EQ(submitted + still_queued, enqueued);
 
   // Token conservation: tokens spent cannot exceed tokens generated
-  // (rates x elapsed time) plus the LC burst allowance.
-  const double generated =
-      total_rate * sim::ToSeconds(now) + 50.0 * (num_lc + num_be);
+  // (rates x elapsed time) plus each LC tenant's deepest deficit,
+  // NEG_LIMIT plus one request's overshoot. BE tenants get no burst
+  // term: their balances never go negative.
+  const double generated = total_rate * sim::ToSeconds(now) +
+                           num_lc * (neg_limit + max_request_cost);
   EXPECT_LE(shared_.tokens_spent_total, generated + 1.0);
 }
 

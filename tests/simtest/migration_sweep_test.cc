@@ -2,13 +2,15 @@
 // against the consistency oracle, the sweep is bit-identical across
 // in-process runs, both planted migration mutations are caught, the
 // --migrate override round-trips through the repro artifact, and
-// autoscaling seeds (including a pinned crash regression) stay clean.
+// autoscaling seeds (including pinned crash and lost-update
+// regressions) stay clean.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "core/qos_policy.h"
 #include "simtest/repro.h"
 #include "simtest/runner.h"
 #include "simtest/scenario.h"
@@ -132,6 +134,47 @@ TEST(MigrationSweepTest, AutoscaleSeedsStayClean) {
 // freed its buffer, and the late attempt still copied into it.
 TEST(MigrationSweepTest, Seed2667LateCopyReadRunsClean) {
   ExpectClean(RunScenario(GenerateScenario(2667)), 2667);
+}
+
+/** A seed with the sweep's --policy / --migrate overrides applied
+ * post-expansion, exactly as simtest_sweep and simtest_repro do. */
+ScenarioSpec ExpandForced(uint64_t seed, const char* policy, bool migrate) {
+  ScenarioSpec spec = GenerateScenario(seed);
+  if (policy != nullptr) {
+    EXPECT_TRUE(core::QosPolicyKindFromName(policy, &spec.policy));
+    spec.enforce_qos = true;
+  }
+  if (migrate) spec.migrate = true;
+  return spec;
+}
+
+// Regressions: a write that arrived under a kCopying gate but reached
+// flash after the copy read started (which clears the dirty bit) left
+// the gate clean, so the cutover dropped it and a later read returned
+// version 0. Each run failed with a stale read before the gate was
+// re-dirtied on write completion.
+TEST(MigrationSweepTest, Seed1755QueuedWriteRecopied) {
+  ExpectClean(RunScenario(ExpandForced(1755, nullptr, false)), 1755);
+}
+
+TEST(MigrationSweepTest, Seed1755MigrateQueuedWriteRecopied) {
+  ExpectClean(RunScenario(ExpandForced(1755, nullptr, true)), 1755);
+}
+
+TEST(MigrationSweepTest, Seed1755AdaptiveBeQueuedWriteRecopied) {
+  ExpectClean(RunScenario(ExpandForced(1755, "adaptive_be", false)), 1755);
+}
+
+TEST(MigrationSweepTest, Seed1755MigrateQwinQueuedWriteRecopied) {
+  ExpectClean(RunScenario(ExpandForced(1755, "qwin", true)), 1755);
+}
+
+TEST(MigrationSweepTest, Seed818QwinQueuedWriteRecopied) {
+  ExpectClean(RunScenario(ExpandForced(818, "qwin", false)), 818);
+}
+
+TEST(MigrationSweepTest, Seed818MigrateQwinQueuedWriteRecopied) {
+  ExpectClean(RunScenario(ExpandForced(818, "qwin", true)), 818);
 }
 
 TEST(MigrationSweepTest, ForcedMigrationRoundTripsThroughArtifact) {
