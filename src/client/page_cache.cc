@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "sim/logging.h"
+#include "sim/pool.h"
 
 namespace reflex::client {
 
@@ -117,9 +118,7 @@ void PageCache::StartFetch(uint64_t page_id) {
 
 sim::Task PageCache::Fetch(uint64_t page_id) {
   co_await io_slots_.Acquire();
-  // Left uninitialised: a successful read fills the whole page, and
-  // the buffer of a failed fetch is dropped unread.
-  auto data = std::make_unique_for_overwrite<uint8_t[]>(kPageBytes);
+  std::unique_ptr<uint8_t[]> data = TakeBuffer();
   client::IoResult r;
   int attempt = 0;
   for (;;) {
@@ -153,6 +152,7 @@ sim::Task PageCache::Fetch(uint64_t page_id) {
     // missing page is fatal.
     ++stats_.fetch_failures;
     table_.erase(it);
+    ReturnBuffer(std::move(data));
     for (auto& waiter : waiters) waiter.Set(nullptr);
     co_return;
   }
@@ -173,6 +173,7 @@ void PageCache::Invalidate(uint64_t byte_offset, uint64_t bytes) {
     if (it == table_.end()) continue;
     if (it->second.resident()) {
       lru_.erase(it->second.lru_it);
+      ReturnBuffer(std::move(it->second.data));
       table_.erase(it);
       continue;
     }
@@ -187,10 +188,31 @@ void PageCache::Invalidate(uint64_t byte_offset, uint64_t bytes) {
 
 void PageCache::EvictIfNeeded() {
   while (lru_.size() >= capacity_pages_) {
-    table_.erase(lru_.back());
+    auto it = table_.find(lru_.back());
+    ReturnBuffer(std::move(it->second.data));
+    table_.erase(it);
     lru_.pop_back();
     ++stats_.evictions;
   }
+}
+
+std::unique_ptr<uint8_t[]> PageCache::TakeBuffer() {
+  if (spare_buffers_.empty()) {
+    // Left uninitialised: a successful read fills the whole page, and
+    // the buffer of a failed fetch goes back to the spares unread.
+    return std::make_unique_for_overwrite<uint8_t[]>(kPageBytes);
+  }
+  std::unique_ptr<uint8_t[]> data = std::move(spare_buffers_.back());
+  spare_buffers_.pop_back();
+  return data;
+}
+
+void PageCache::ReturnBuffer(std::unique_ptr<uint8_t[]> data) {
+  // Under ASan a recycled buffer would hide a read through a pointer
+  // kept past eviction, so there the buffer is freed, as sim/pool.h
+  // does for its blocks.
+  if (sim::kPoolPassThrough) return;
+  spare_buffers_.push_back(std::move(data));
 }
 
 }  // namespace reflex::client

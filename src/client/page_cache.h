@@ -61,7 +61,8 @@ class PageCache {
   /**
    * Returns a pointer to the page containing `byte_offset` (rounded
    * down to a page boundary). The pointer stays valid until the page
-   * is evicted -- callers must copy out what they need before the next
+   * is evicted or invalidated, after which its buffer may hold another
+   * page -- callers must copy out what they need before the next
    * co_await on the cache. Resolves to nullptr if the backend read
    * failed persistently (after RetryPolicy::max_attempts tries).
    */
@@ -136,6 +137,10 @@ class PageCache {
   sim::Task Fetch(uint64_t page_id);
   void StartFetch(uint64_t page_id);
   void EvictIfNeeded();
+  /** A page buffer for a fetch: a spare if there is one, else new. */
+  std::unique_ptr<uint8_t[]> TakeBuffer();
+  /** Keeps a buffer no entry holds any more as a spare. */
+  void ReturnBuffer(std::unique_ptr<uint8_t[]> data);
 
   sim::Simulator& sim_;
   client::StorageBackend& backend_;
@@ -149,6 +154,12 @@ class PageCache {
 
   PageTable table_;
   std::list<uint64_t> lru_;  // resident pages, front = most recent
+  /**
+   * Page buffers of evicted, invalidated and failed pages, reused by
+   * the next fetches: once the cache is full a miss allocates no
+   * buffer.
+   */
+  std::vector<std::unique_ptr<uint8_t[]>> spare_buffers_;
   Stats stats_;
 };
 

@@ -25,8 +25,6 @@ uint64_t HashName(std::string_view name) {
   return h;
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 // Numerically stable log1p(x)/x.
 double Helper1(double x) {
   if (std::abs(x) > 1e-8) return std::log1p(x) / x;
@@ -48,22 +46,6 @@ Rng::Rng(uint64_t seed) {
 
 Rng::Rng(uint64_t global_seed, std::string_view stream_name)
     : Rng(global_seed ^ HashName(stream_name)) {}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
 
 uint64_t Rng::NextBounded(uint64_t bound) {
   REFLEX_CHECK(bound > 0);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "client/io_result.h"
@@ -127,8 +128,13 @@ class ConsistencyOracle {
                   sim::TimeNs issue, sim::TimeNs done,
                   uint64_t* newest_committed) const;
 
-  std::map<uint64_t, SectorState> sectors_;
-  std::map<uint64_t, PendingWrite> pending_;
+  // detlint: allow(unordered-container) sectors_ and pending_ are only
+  // looked up, inserted into and erased from, never iterated, so hash
+  // layout can never reach a verdict or the order of the violations.
+  template <typename V> using HashMap = std::unordered_map<uint64_t, V>;
+
+  HashMap<SectorState> sectors_;  // by absolute sector LBA
+  HashMap<PendingWrite> pending_;  // by version
   std::map<int, uint64_t> next_seq_;
   std::vector<DataViolation> violations_;
   int64_t reads_checked_ = 0;

@@ -4,7 +4,7 @@
 //
 //   simtest_sweep [--seeds N] [--start S] [--mutation NAME]
 //                 [--max-ops M] [--out PATH] [--policy NAME]
-//                 [--replication R] [--migrate]
+//                 [--replication R] [--migrate] [--keep-going]
 //
 // --policy overrides the QoS policy every seed would otherwise draw
 // (token_bucket, qwin, adaptive_be) and forces enforcement on, so a
@@ -17,13 +17,21 @@
 // "forced_replication" / "forced_migration") so replays regenerate
 // the identical scenario.
 //
+// --keep-going runs every seed instead of stopping at the first
+// failure. Each failing seed is shrunk and written to its own repro
+// file (see ReproPath), and the sweep ends by printing the failing
+// seeds and, per failure kind, how many of them showed it.
+//
 // Exit status: 0 when every seed passed, 1 on a (shrunken, persisted)
 // failure, 2 on usage errors.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "simtest/repro.h"
 #include "simtest/runner.h"
@@ -100,6 +108,38 @@ void PrintViolations(const simtest::RunReport& report) {
   }
 }
 
+/**
+ * The distinct kinds of failure in `report`: "stall", each data
+ * violation kind ("stale_read", ...) and each invariant name.
+ */
+std::set<std::string> FailureKinds(const simtest::RunReport& report) {
+  std::set<std::string> kinds;
+  if (!report.completed) kinds.insert("stall");
+  for (const auto& v : report.data_violations) kinds.insert(v.kind);
+  for (const auto& v : report.invariant_violations) kinds.insert(v.name);
+  return kinds;
+}
+
+/**
+ * Where the repro of a failing `seed` goes. A sweep that stops at its
+ * first failure writes --out as given; a --keep-going sweep writes one
+ * file per failing seed, so --out gets the seed spliced in before its
+ * ".json" ("repro.json" -> "repro_177.json").
+ */
+std::string ReproPath(const std::string& out_path, uint64_t seed,
+                      bool keep_going) {
+  const std::string tag = std::to_string(seed);
+  if (out_path.empty()) return "simtest_repro_" + tag + ".json";
+  if (!keep_going) return out_path;
+  const std::string ext = ".json";
+  if (out_path.size() >= ext.size() &&
+      out_path.compare(out_path.size() - ext.size(), ext.size(), ext) == 0) {
+    return out_path.substr(0, out_path.size() - ext.size()) + "_" + tag +
+           ext;
+  }
+  return out_path + "_" + tag;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,6 +148,7 @@ int main(int argc, char** argv) {
   int64_t max_ops = -1;
   simtest::Mutation mutation = simtest::Mutation::kNone;
   std::string out_path;
+  bool keep_going = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -147,15 +188,21 @@ int main(int argc, char** argv) {
       g_force_replication = true;
     } else if (arg == "--migrate") {
       g_force_migration = true;
+    } else if (arg == "--keep-going") {
+      keep_going = true;
     } else {
       std::fprintf(stderr,
                    "usage: simtest_sweep [--seeds N] [--start S] "
                    "[--mutation NAME] [--max-ops M] [--out PATH] "
-                   "[--policy NAME] [--replication R] [--migrate]\n");
+                   "[--policy NAME] [--replication R] [--migrate] "
+                   "[--keep-going]\n");
       return 2;
     }
   }
 
+  std::vector<uint64_t> failed_seeds;
+  // Failure kind -> number of failing seeds that showed it.
+  std::map<std::string, int64_t> kind_counts;
   for (int64_t i = 0; i < seeds; ++i) {
     const uint64_t seed = start + static_cast<uint64_t>(i);
     const simtest::ScenarioSpec spec = Expand(seed);
@@ -174,6 +221,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(seed),
                  static_cast<long long>(budget));
     PrintViolations(report);
+    failed_seeds.push_back(seed);
+    for (const std::string& kind : FailureKinds(report)) {
+      ++kind_counts[kind];
+    }
 
     const int64_t shrunk = Shrink(seed, mutation, budget);
     if (shrunk < budget) {
@@ -182,10 +233,7 @@ int main(int argc, char** argv) {
                    static_cast<long long>(shrunk));
     }
 
-    const std::string path =
-        out_path.empty()
-            ? "simtest_repro_" + std::to_string(seed) + ".json"
-            : out_path;
+    const std::string path = ReproPath(out_path, seed, keep_going);
     const std::string json =
         simtest::ReproToJson(spec, report, mutation, shrunk, g_force_policy,
                              g_force_replication, g_force_migration);
@@ -196,6 +244,19 @@ int main(int argc, char** argv) {
                            "    simtest_repro %s\n",
                    path.c_str(), path.c_str());
     }
+    if (!keep_going) return 1;
+  }
+  if (!failed_seeds.empty()) {
+    std::printf("%zu of %lld seeds failed:", failed_seeds.size(),
+                static_cast<long long>(seeds));
+    for (uint64_t seed : failed_seeds) {
+      std::printf(" %llu", static_cast<unsigned long long>(seed));
+    }
+    std::printf("\nfailure kinds (seeds showing each):");
+    for (const auto& [kind, count] : kind_counts) {
+      std::printf(" %s=%lld", kind.c_str(), static_cast<long long>(count));
+    }
+    std::printf("\n");
     return 1;
   }
   std::printf("%lld seeds passed\n", static_cast<long long>(seeds));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <functional>
@@ -16,6 +17,7 @@
 #include "baseline/local_spdk.h"
 #include "client/storage_backend.h"
 #include "flash/flash_device.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace reflex::apps::graph {
@@ -333,6 +335,79 @@ TEST(GraphGenTest, RmatIsSkewed) {
 TEST(GraphGenTest, Deterministic) {
   EXPECT_EQ(GenerateRmat(512, 1000, 42), GenerateRmat(512, 1000, 42));
   EXPECT_NE(GenerateRmat(512, 1000, 42), GenerateRmat(512, 1000, 43));
+}
+
+// GenerateRmat as it was written before its draws became integer
+// compares: the reference for the exactness argument in graph_gen.h.
+std::vector<Edge> ReferenceRmat(uint32_t num_vertices, uint64_t num_edges,
+                                uint64_t seed, double a, double b,
+                                double c) {
+  sim::Rng rng(seed, "rmat");
+  const int levels = 64 - std::countl_zero(
+                              static_cast<uint64_t>(num_vertices - 1));
+  std::vector<Edge> edges;
+  edges.reserve(num_edges);
+  while (edges.size() < num_edges) {
+    uint64_t src = 0, dst = 0;
+    for (int l = 0; l < levels; ++l) {
+      const double p = rng.NextDouble();
+      src <<= 1;
+      dst <<= 1;
+      if (p < a) {
+        // top-left quadrant
+      } else if (p < a + b) {
+        dst |= 1;
+      } else if (p < a + b + c) {
+        src |= 1;
+      } else {
+        src |= 1;
+        dst |= 1;
+      }
+    }
+    if (src >= num_vertices || dst >= num_vertices || src == dst) continue;
+    edges.emplace_back(static_cast<uint32_t>(src),
+                       static_cast<uint32_t>(dst));
+  }
+  return edges;
+}
+
+TEST(GraphGenTest, RmatMatchesDoubleCompareReference) {
+  struct Params {
+    double a, b, c;
+  };
+  const Params params[] = {
+      {0.57, 0.19, 0.19}, {0.25, 0.25, 0.25}, {0.6, 0.2, 0.19}};
+  const uint32_t vertex_counts[] = {2, 3, 1000, 65536, 100000};
+  for (const Params& p : params) {
+    for (uint32_t n : vertex_counts) {
+      SCOPED_TRACE(::testing::Message() << "a=" << p.a << " b=" << p.b
+                                        << " c=" << p.c << " n=" << n);
+      EXPECT_EQ(GenerateRmat(n, 4000, 17, p.a, p.b, p.c),
+                ReferenceRmat(n, 4000, 17, p.a, p.b, p.c));
+    }
+  }
+}
+
+TEST(GraphGenTest, RmatRejectsNegativeQuadrantProbabilities) {
+  // A negative probability would make an integer threshold negative.
+  EXPECT_DEATH(GenerateRmat(16, 10, 1, -0.1, 0.3, 0.3), "check failed");
+  EXPECT_DEATH(GenerateRmat(16, 10, 1, 0.5, -0.1, 0.3), "check failed");
+  EXPECT_DEATH(GenerateRmat(16, 10, 1, 0.5, 0.3, -0.1), "check failed");
+}
+
+TEST(GraphGenTest, Fig7bGraphHashIsPinned) {
+  // FNV-1a over the little-endian (src << 32 | dst) of every edge.
+  const std::vector<Edge> edges = GenerateRmat(100000, 1600000, 2026);
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Edge& e : edges) {
+    const uint64_t v = (static_cast<uint64_t>(e.first) << 32) | e.second;
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(edges.size(), 1600000u);
+  EXPECT_EQ(h, 0x33245b9cfbe87a6bULL);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Allocation budget of the remote I/O path: once a closed loop has
 // reached steady state, an I/O from IoSession::Read/Write or
 // BlockDevice::ReadBytes to the flash device and back performs no heap
-// allocation at all. This binary replaces the global operator new and
+// allocation at all, and a PageCache miss allocates no page buffer. This binary replaces the global operator new and
 // delete with counting versions, so it must stay its own executable.
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "client/block_device.h"
+#include "client/page_cache.h"
 #include "client/reflex_client.h"
 #include "sim/pool.h"
 #include "testing/harness.h"
@@ -62,6 +63,10 @@ constexpr uint32_t kPageSectors = kPageBytes / core::kSectorBytes;
 // Every worker cycles over its own few pages, all written during
 // warm-up, so the device's page store stops growing.
 constexpr uint64_t kPagesPerWorker = 8;
+// Page-cache loops: each worker cycles over this many pages, twice the
+// cache's capacity, so LRU evicts every page before it comes round.
+constexpr uint32_t kCacheCapacityPages = 16;
+constexpr uint64_t kCachePagesPerWorker = 2 * kCacheCapacityPages;
 
 struct LoopState {
   bool stop = false;
@@ -101,6 +106,20 @@ sim::Task BlockWorker(BlockDevice* bdev, int index, LoopState* state) {
                                                 buffer.data());
     ++state->completed;
     if (!r.ok()) ++state->failed;
+  }
+  --state->live_workers;
+}
+
+// Closed loop of page-cache misses: the worker cycles over its own
+// pages, more of them than the cache holds, so every GetPage misses.
+sim::Task CacheWorker(PageCache* cache, int index, LoopState* state) {
+  ++state->live_workers;
+  const uint64_t base = static_cast<uint64_t>(index) * kCachePagesPerWorker;
+  for (uint64_t i = 0; !state->stop; ++i) {
+    const uint64_t page = base + i % kCachePagesPerWorker;
+    const uint8_t* data = co_await cache->GetPage(page * kPageBytes);
+    ++state->completed;
+    if (data == nullptr) ++state->failed;
   }
   --state->live_workers;
 }
@@ -170,6 +189,26 @@ TEST_F(AllocBudgetTest, BlockDeviceReadBytesAllocatesNothingPerIo) {
   EXPECT_EQ(w.allocations, 0)
       << static_cast<double>(w.allocations) / static_cast<double>(w.ios)
       << " heap allocations per I/O over " << w.ios << " I/Os";
+}
+
+TEST_F(AllocBudgetTest, PageCacheMissReusesEvictedBuffers) {
+  testing::Harness h;
+  core::Tenant* tenant = h.LcTenant();
+  BlockDevice bdev(h.sim, h.server, h.client_machine, tenant->handle(),
+                   BlockDevice::Options());
+  PageCache cache(h.sim, bdev, kCacheCapacityPages, /*max_outstanding=*/4);
+
+  LoopState state;
+  for (int i = 0; i < 2; ++i) CacheWorker(&cache, i, &state);
+  const Window w = MeasureSteadyState(h, state);
+  EXPECT_EQ(state.failed, 0);
+  EXPECT_EQ(cache.stats().hits, 0);
+  ASSERT_GT(w.ios, 1000);
+  // Per miss: the page-table node, the LRU node and the waiter list of
+  // the in-flight entry. The 4 KiB page buffer is an evicted page's.
+  EXPECT_LE(w.allocations, 3 * w.ios)
+      << static_cast<double>(w.allocations) / static_cast<double>(w.ios)
+      << " heap allocations per miss over " << w.ios << " misses";
 }
 
 }  // namespace

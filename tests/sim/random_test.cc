@@ -142,5 +142,50 @@ TEST(RngTest, ZipfSmallN) {
   }
 }
 
+// Golden values: the first outputs of one raw-seeded and one named
+// stream. Every stochastic component draws from these streams, so any
+// change to the xoshiro256** step, the seeding or a derived
+// distribution moves a pinned bench output; these tests say where.
+// Doubles are compared exactly, written as hexadecimal literals.
+struct StreamGolden {
+  uint64_t next[4];
+  double next_double[3];
+  uint64_t next_bounded_1000[3];
+  double next_exponential_2[3];
+};
+
+void ExpectStream(Rng rng, const StreamGolden& golden) {
+  for (uint64_t want : golden.next) EXPECT_EQ(rng.Next(), want);
+  for (double want : golden.next_double) EXPECT_EQ(rng.NextDouble(), want);
+  for (uint64_t want : golden.next_bounded_1000) {
+    EXPECT_EQ(rng.NextBounded(1000), want);
+  }
+  for (double want : golden.next_exponential_2) {
+    EXPECT_EQ(rng.NextExponential(2.0), want);
+  }
+}
+
+TEST(RngGoldenTest, RawSeedStream) {
+  ExpectStream(Rng(12345),
+               {{0xbe6a36374160d49bULL, 0x214aaa0637a688c6ULL,
+                 0xf69d16de9954d388ULL, 0x0c60048c4e96e033ULL},
+                {0x1.1c40ed5ddaa38p-1, 0x1.5de60e0fe284p-7,
+                 0x1.4739527f64278p-3},
+                {710, 214, 181},
+                {0x1.f8032a6489b9fp-2, 0x1.3e2708b1feb72p+0,
+                 0x1.663234676e7cep-2}});
+}
+
+TEST(RngGoldenTest, NamedSeedStream) {
+  ExpectStream(Rng(2026, "rmat"),
+               {{0x2f6f66717b669333ULL, 0x7bf200934bb87867ULL,
+                 0x4a2252e2034677cfULL, 0x1e0f637fa3cfb09dULL},
+                {0x1.943313add605ep-2, 0x1.1936e7dc56247p-1,
+                 0x1.8e89d7ee501e5p-1},
+                {979, 676, 876},
+                {0x1.27aec3462f2eep+1, 0x1.f28ebbb09eddap+1,
+                 0x1.f2df3c51927d1p+0}});
+}
+
 }  // namespace
 }  // namespace reflex::sim
