@@ -46,14 +46,9 @@ ClusterSession::ClusterSession(
 
 ClusterSession::~ClusterSession() {
   // Frames parked mid-await (session destroyed with I/O in flight, or
-  // the simulation ended first) never self-destruct: suspend_never
-  // final suspend means a frame frees itself only by running to the
-  // end of its body. Destroying one here runs its local destructors
-  // but not its body, so io_frames_ is not mutated mid-iteration.
-  for (auto& [id, handle] : io_frames_) {
-    if (handle) handle.destroy();
-  }
-  io_frames_.clear();
+  // the simulation ended first) await the shard sessions: destroy them
+  // before anything below tears those down.
+  frames_.Clear();
   if (owns_tenant_) {
     // Drop the per-shard sessions first: they do not own the
     // registrations, so the cluster-wide unregister below is the only
@@ -124,8 +119,7 @@ uint32_t NthSetBit(uint32_t mask, uint64_t n) {
 sim::Task ClusterSession::RunIo(client::IoOp op, uint64_t lba,
                                 uint32_t sectors, uint8_t* data, int lane,
                                 sim::Promise<client::IoResult> promise) {
-  const uint64_t frame_id = next_frame_id_++;
-  co_await sim::SelfHandle(&io_frames_[frame_id]);
+  auto self = co_await frames_.Join();
   sim::Simulator& sim = client_.cluster().sim();
   client::IoResult result;
   result.issue_time = sim.Now();
@@ -290,7 +284,6 @@ sim::Task ClusterSession::RunIo(client::IoOp op, uint64_t lba,
   }
   result.complete_time = sim.Now();
   promise.Set(result);
-  io_frames_.erase(frame_id);
 }
 
 size_t ClusterSession::Shallowest(const std::vector<ReplicaTarget>& targets,
@@ -370,15 +363,15 @@ void ClusterClient::ObserveHint(int shard, uint32_t depth) {
 
 double ClusterClient::EffectiveQueueDepth(int shard) const {
   const HintState& h = hints_[static_cast<size_t>(shard)];
-  if (!h.seen) return options_.hint_prior;
+  if (!h.seen) return kHintPrior;
   const sim::TimeNs age = cluster_.sim().Now() - h.at;
-  if (age >= options_.hint_stale_after) return options_.hint_prior;
+  if (age >= kHintStaleAfter) return kHintPrior;
   // Linear decay from the observed depth back to the prior: fresh
   // hints dominate, stale ones fade instead of pinning a dead shard's
   // last-known load forever.
   const double f = static_cast<double>(age) /
-                   static_cast<double>(options_.hint_stale_after);
-  return h.depth + (options_.hint_prior - h.depth) * f;
+                   static_cast<double>(kHintStaleAfter);
+  return h.depth + (kHintPrior - h.depth) * f;
 }
 
 void ClusterClient::MarkDirty(int shard, uint64_t version) {

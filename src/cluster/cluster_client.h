@@ -1,8 +1,6 @@
 #ifndef REFLEX_CLUSTER_CLUSTER_CLIENT_H_
 #define REFLEX_CLUSTER_CLUSTER_CLIENT_H_
 
-#include <coroutine>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -146,14 +144,14 @@ class ClusterSession : public client::IoSession {
                                        uint32_t sectors, uint8_t* data,
                                        int lane);
   /**
-   * One logical I/O, start to finish, in one frame registered once in
-   * io_frames_. Each attempt splits the request against the client's
-   * local map and fans it out: reads steer, then fail over; writes go
-   * to every placement, then mark the replicas that missed a commit
-   * dirty. A sub-request that comes back kWrongShard means the routing
-   * map predates a migration cutover: within the retry budget the
-   * attempt refreshes the map, backs off (doubling per attempt) and
-   * loops; otherwise `promise` is set with the attempt's result.
+   * One logical I/O, start to finish, in one frame joined to frames_.
+   * Each attempt splits the request against the client's local map
+   * and fans it out: reads steer, then fail over; writes go to every
+   * placement, then mark the replicas that missed a commit dirty. A
+   * sub-request that comes back kWrongShard means the routing map
+   * predates a migration cutover: within the retry budget the attempt
+   * refreshes the map, backs off (doubling per attempt) and loops;
+   * otherwise `promise` is set with the attempt's result.
    */
   sim::Task RunIo(client::IoOp op, uint64_t lba, uint32_t sectors,
                   uint8_t* data, int lane,
@@ -173,14 +171,6 @@ class ClusterSession : public client::IoSession {
 
   ClusterClient& client_;
   ClusterTenant tenant_;
-  /** Live RunIo frames by id. Each erases itself before finishing;
-   * whatever remains at teardown is parked on a sub-I/O or the backoff
-   * Delay and is destroyed by ~ClusterSession (the parked awaiter
-   * disarms itself, so nothing resumes the freed frame). std::map for
-   * node stability -- the frames park SelfHandle pointers into the
-   * mapped values. */
-  std::map<uint64_t, std::coroutine_handle<>> io_frames_;
-  uint64_t next_frame_id_ = 0;
   std::vector<std::unique_ptr<client::TenantSession>> shard_sessions_;
   std::vector<sim::Histogram> shard_latency_;
   std::vector<int64_t> shard_reads_served_;
@@ -190,6 +180,11 @@ class ClusterSession : public client::IoSession {
   int64_t requests_split_ = 0;
   int64_t read_failovers_ = 0;
   int64_t wrong_shard_retries_ = 0;
+  /** The live RunIo frames. Whatever remains at teardown is parked on
+   * a sub-I/O or the backoff Delay; ~ClusterSession destroys it first
+   * (the parked awaiter disarms itself, so nothing resumes the freed
+   * frame). */
+  sim::FrameSet frames_;
 };
 
 /**
@@ -219,17 +214,6 @@ class ClusterClient {
     /** Read steering over replicas (ignored at replication == 1,
      * where every policy degenerates to the primary). */
     SteeringPolicy steering = SteeringPolicy::kPrimaryOnly;
-
-    /**
-     * Hint decay horizon: a shard's queue-depth hint interpolates
-     * linearly back to `hint_prior` over this window since the last
-     * response from that shard, so a silent (possibly dead) shard
-     * neither repels nor attracts reads forever on stale evidence.
-     */
-    sim::TimeNs hint_stale_after = sim::Micros(500);
-
-    /** Queue depth assumed for shards with no (fresh) hint. */
-    double hint_prior = 0.0;
   };
 
   ClusterClient(FlashCluster& cluster, net::Machine* machine,
@@ -271,8 +255,8 @@ class ClusterClient {
 
   /**
    * Current steering estimate of `shard`'s queue depth: the last
-   * piggybacked hint, decayed linearly toward Options::hint_prior
-   * over Options::hint_stale_after.
+   * piggybacked hint, decayed linearly toward kHintPrior over
+   * kHintStaleAfter.
    */
   double EffectiveQueueDepth(int shard) const;
 
@@ -306,6 +290,13 @@ class ClusterClient {
   /** Penalty depth installed by PenalizeShard: far above any real
    * queue, so every live replica wins a steering comparison. */
   static constexpr double kPenaltyDepth = 1e9;
+  /** Hint decay horizon: a shard's queue-depth hint interpolates
+   * linearly back to kHintPrior over this window since the last
+   * response from that shard, so a silent (possibly dead) shard
+   * neither repels nor attracts reads forever on stale evidence. */
+  static constexpr sim::TimeNs kHintStaleAfter = sim::Micros(500);
+  /** Queue depth assumed for shards with no (fresh) hint. */
+  static constexpr double kHintPrior = 0.0;
 
   struct HintState {
     double depth = 0.0;

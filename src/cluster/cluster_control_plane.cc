@@ -26,15 +26,6 @@ const char* AdmitKindName(AdmitResult::Kind kind) {
 ClusterControlPlane::ClusterControlPlane(FlashCluster& cluster)
     : cluster_(cluster) {}
 
-ClusterControlPlane::~ClusterControlPlane() {
-  // An autoscaler loop parked on its Delay when the simulation ended
-  // never resumes; reclaim the frame (see sim::SelfHandle).
-  if (autoscaler_active_ && autoscaler_handle_) {
-    autoscaler_active_ = false;
-    autoscaler_handle_.destroy();
-  }
-}
-
 void ClusterControlPlane::StartAutoscaler(MigrationCoordinator& coordinator,
                                           AutoscalerOptions options) {
   REFLEX_CHECK(!autoscaler_running_);
@@ -83,8 +74,7 @@ int64_t ClusterControlPlane::SampleShardRejects(int i) {
 }
 
 sim::Task ClusterControlPlane::AutoscaleLoop() {
-  co_await sim::SelfHandle(&autoscaler_handle_);
-  autoscaler_active_ = true;
+  auto self = co_await frames_.Join();
   sim::Simulator& sim = cluster_.sim();
   const AutoscalerOptions opts = autoscaler_options_;
 
@@ -114,8 +104,8 @@ sim::Task ClusterControlPlane::AutoscaleLoop() {
 
     // The active set never shrinks below the replication factor: every
     // hot stripe must keep R placements on R distinct shards.
-    const int floor_active = std::max(
-        {1, opts.min_active, cluster_.shard_map().replication()});
+    const int floor_active =
+        std::max(kMinActive, cluster_.shard_map().replication());
     int desired = active_shards_;
     // Rejects are the strongest grow signal: a shard throttling on its
     // token reservation serves a flat rate and keeps its queue short,
@@ -123,17 +113,17 @@ sim::Task ClusterControlPlane::AutoscaleLoop() {
     // bounces. Without this term an over-packed fleet is metastable --
     // it rejects forever and never scales out of the regime.
     if ((max_util > opts.high_utilization ||
-         max_depth > opts.high_queue_depth ||
-         max_rejects >= opts.high_rejects) &&
+         max_depth > kHighQueueDepth ||
+         max_rejects >= kHighRejects) &&
         active_shards_ < n) {
       desired = active_shards_ + 1;
       low_streak = 0;
     } else if (max_util < opts.low_utilization &&
-               max_depth <= opts.high_queue_depth / 2 &&
+               max_depth <= kHighQueueDepth / 2 &&
                max_rejects == 0 && active_shards_ > floor_active) {
       // Shrinking is damped: only a sustained lull below the low-water
       // mark gives up a server.
-      if (++low_streak >= opts.shrink_persistence) {
+      if (++low_streak >= kShrinkPersistence) {
         desired = active_shards_ - 1;
       }
     } else {
@@ -193,9 +183,6 @@ sim::Task ClusterControlPlane::AutoscaleLoop() {
     }
     active_shards_ = desired;
   }
-
-  autoscaler_handle_ = nullptr;
-  autoscaler_active_ = false;
 }
 
 core::SloSpec ClusterControlPlane::ShardShare(const core::SloSpec& slo,

@@ -1,7 +1,6 @@
 #ifndef REFLEX_CLUSTER_CLUSTER_CONTROL_PLANE_H_
 #define REFLEX_CLUSTER_CLUSTER_CONTROL_PLANE_H_
 
-#include <coroutine>
 #include <cstdint>
 #include <vector>
 
@@ -88,7 +87,7 @@ class ClusterControlPlane {
    * back onto fewer. Placement changes are ordinary live migrations
    * through the MigrationCoordinator, so scaling is hitless; the
    * active set never drops below the map's replication factor (every
-   * stripe keeps R distinct shards) nor below min_active.
+   * stripe keeps R distinct shards) nor below kMinActive.
    */
   struct AutoscalerOptions {
     sim::TimeNs period = sim::Millis(2);
@@ -96,21 +95,6 @@ class ClusterControlPlane {
     double high_utilization = 0.70;
     /** Shrink when every active shard sits below this. */
     double low_utilization = 0.30;
-    /** Consecutive all-below-low periods required before a shrink
-     * actually fires. Growing is eager (SLO pressure), shrinking is
-     * damped: one quiet sample right after a grow overshoot must not
-     * bounce the fleet straight back down. */
-    int shrink_persistence = 3;
-    /** Grow when any active shard's queue-depth hint exceeds this
-     * (catches SLO pressure the token signal lags on). */
-    uint32_t high_queue_depth = 64;
-    /** Grow whenever any active shard rejected at least this many
-     * requests on QoS (neg-limit hits) during the period. Rejects keep
-     * both other signals quiet -- served throughput plateaus and the
-     * queue stays short -- so without this an overloaded-but-rejecting
-     * fleet reads as healthy and never scales out. */
-    int64_t high_rejects = 1;
-    int min_active = 1;
     /** Hot stripe range the active set serves; replica ordinal k of
      * stripe s is placed on active shard (s + k) mod active. */
     uint64_t hot_first_stripe = 0;
@@ -127,7 +111,6 @@ class ClusterControlPlane {
   };
 
   explicit ClusterControlPlane(FlashCluster& cluster);
-  ~ClusterControlPlane();
 
   /**
    * Registers `slo` across every shard. On rejection returns an
@@ -186,6 +169,24 @@ class ClusterControlPlane {
   }
 
  private:
+  /** Consecutive all-below-low periods required before a shrink
+   * actually fires. Growing is eager (SLO pressure), shrinking is
+   * damped: one quiet sample right after a grow overshoot must not
+   * bounce the fleet straight back down. */
+  static constexpr int kShrinkPersistence = 3;
+  /** Grow when any active shard's queue-depth hint exceeds this
+   * (catches SLO pressure the token signal lags on). */
+  static constexpr uint32_t kHighQueueDepth = 64;
+  /** Grow whenever any active shard rejected at least this many
+   * requests on QoS (neg-limit hits) during the period. Rejects keep
+   * both other signals quiet -- served throughput plateaus and the
+   * queue stays short -- so without this an overloaded-but-rejecting
+   * fleet reads as healthy and never scales out. */
+  static constexpr int64_t kHighRejects = 1;
+  /** The active set never shrinks below this (nor below the map's
+   * replication factor). */
+  static constexpr int kMinActive = 1;
+
   sim::Task AutoscaleLoop();
   /** Token utilization + max queue-depth hint of shard `i` since the
    * previous sample, `dt` ago. */
@@ -211,10 +212,9 @@ class ClusterControlPlane {
   std::vector<double> prev_tokens_spent_;
   /** Previous summed tenant neg_limit_hits sample per shard. */
   std::vector<int64_t> prev_neg_hits_;
-  /** Loop frame parked on its Delay at teardown (simulation over);
-   * destroyed by ~ClusterControlPlane. */
-  std::coroutine_handle<> autoscaler_handle_;
-  bool autoscaler_active_ = false;
+  /** The AutoscaleLoop frame, parked on its Delay at teardown when
+   * the simulation ends first. */
+  sim::FrameSet frames_;
 };
 
 }  // namespace reflex::cluster

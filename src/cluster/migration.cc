@@ -16,28 +16,12 @@ MigrationCoordinator::MigrationCoordinator(FlashCluster& cluster,
   paths_.resize(static_cast<size_t>(cluster_.num_shards()));
 }
 
-MigrationCoordinator::~MigrationCoordinator() {
-  // Frames parked mid-await (simulation ended during a migration)
-  // would otherwise leak: suspend_never final_suspend means nobody but
-  // us can reach them. Workers first -- they reference the barrier in
-  // the batch frame and must never outlive it.
-  for (auto& [id, handle] : copy_handles_) {
-    if (handle) handle.destroy();
-  }
-  copy_handles_.clear();
-  if (batch_active_ && batch_handle_) {
-    batch_active_ = false;
-    batch_handle_.destroy();
-  }
-}
-
 sim::Task MigrationCoordinator::CopyWorker(MigrationAssignment a, int gate_id,
                                            uint32_t stripe_sectors,
                                            bool count_recopy,
                                            sim::Barrier* barrier,
                                            bool* any_failed) {
-  const uint64_t id = next_copy_id_++;
-  co_await sim::SelfHandle(&copy_handles_[id]);
+  auto self = co_await frames_.Join();
   sim::Simulator& sim = cluster_.sim();
   std::vector<uint8_t> buf(static_cast<size_t>(stripe_sectors) *
                            CopySession(a.from.shard_index)->sector_bytes());
@@ -48,8 +32,7 @@ sim::Task MigrationCoordinator::CopyWorker(MigrationAssignment a, int gate_id,
     gate->dirty = false;
   }
   bool copied = false;
-  for (int attempt = 0; attempt <= options_.max_copy_retries && !copied;
-       ++attempt) {
+  for (int attempt = 0; attempt <= kMaxCopyRetries && !copied; ++attempt) {
     if (attempt > 0) {
       co_await sim::Delay(sim, options_.retry.backoff_base);
     }
@@ -69,7 +52,6 @@ sim::Task MigrationCoordinator::CopyWorker(MigrationAssignment a, int gate_id,
   } else if (count_recopy) {
     ++stats_.dirty_recopies;
   }
-  copy_handles_.erase(id);
   barrier->Arrive();
 }
 
@@ -122,9 +104,7 @@ sim::Future<bool> MigrationCoordinator::MigrateAssignments(
 
 sim::Task MigrationCoordinator::RunBatch(std::vector<MigrationAssignment> plan,
                                          sim::Promise<bool> done) {
-  co_await sim::SelfHandle(&batch_handle_);
-  batch_active_ = true;
-
+  auto self = co_await frames_.Join();
   sim::Simulator& sim = cluster_.sim();
   ShardMap& map = cluster_.mutable_shard_map();
   const uint32_t stripe_sectors = map.options().stripe_sectors;
@@ -152,12 +132,11 @@ sim::Task MigrationCoordinator::RunBatch(std::vector<MigrationAssignment> plan,
   std::iota(work.begin(), work.end(), size_t{0});
 
   while (!work.empty() && !failed) {
-    // Fan the round out copy_concurrency stripes at a time, joining
+    // Fan the round out kCopyConcurrency stripes at a time, joining
     // each wave on a barrier before launching the next.
-    const auto width =
-        static_cast<size_t>(std::max(1, options_.copy_concurrency));
-    for (size_t base = 0; base < work.size() && !failed; base += width) {
-      const size_t wave = std::min(width, work.size() - base);
+    for (size_t base = 0; base < work.size() && !failed;
+         base += kCopyConcurrency) {
+      const size_t wave = std::min(kCopyConcurrency, work.size() - base);
       sim::Barrier barrier(sim, static_cast<int64_t>(wave));
       for (size_t j = 0; j < wave; ++j) {
         const size_t idx = work[base + j];
@@ -186,7 +165,7 @@ sim::Task MigrationCoordinator::RunBatch(std::vector<MigrationAssignment> plan,
         if (gate != nullptr && gate->dirty) work.push_back(i);
       }
     }
-    if (!work.empty() && !draining && rounds <= options_.max_dirty_rounds) {
+    if (!work.empty() && !draining && rounds <= kMaxDirtyRounds) {
       continue;  // another concurrent recopy round, writes still flow
     }
     if (!draining) {
@@ -199,7 +178,7 @@ sim::Task MigrationCoordinator::RunBatch(std::vector<MigrationAssignment> plan,
           gate->state = core::RangeGateState::kDraining;
         }
       }
-      // drain_timeout bounds *stall*, not total drain time: on a
+      // kDrainTimeout bounds *stall*, not total drain time: on a
       // backlogged source a counted write can sit behind a long token
       // queue, and an absolute deadline would abort every grow attempt
       // exactly when the fleet most needs one. As long as the in-flight
@@ -217,13 +196,13 @@ sim::Task MigrationCoordinator::RunBatch(std::vector<MigrationAssignment> plan,
         if (inflight == 0) break;
         if (first || inflight < last_inflight) {
           stalled = 0;
-        } else if (stalled >= options_.drain_timeout) {
+        } else if (stalled >= kDrainTimeout) {
           failed = true;  // a counted write never completed; bail out
           break;
         }
         last_inflight = inflight;
-        co_await sim::Delay(sim, options_.drain_poll_interval);
-        stalled += options_.drain_poll_interval;
+        co_await sim::Delay(sim, kDrainPollInterval);
+        stalled += kDrainPollInterval;
       }
       if (failed) break;
       // One last pass over anything dirtied between the last recopy
@@ -274,8 +253,6 @@ sim::Task MigrationCoordinator::RunBatch(std::vector<MigrationAssignment> plan,
   }
 
   busy_ = false;
-  batch_handle_ = nullptr;
-  batch_active_ = false;
   done.Set(!failed);
 }
 

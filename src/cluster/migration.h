@@ -1,10 +1,8 @@
 #ifndef REFLEX_CLUSTER_MIGRATION_H_
 #define REFLEX_CLUSTER_MIGRATION_H_
 
-#include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -56,19 +54,6 @@ namespace reflex::cluster {
 class MigrationCoordinator {
  public:
   struct Options {
-    /** Attempts per stripe copy I/O before the batch aborts. */
-    int max_copy_retries = 3;
-    /** Stripe copies in flight at once. Copy traffic runs at
-     * best-effort priority, so on a busy source shard a sequential
-     * QD-1 stream stretches a rebalance across tens of milliseconds --
-     * exactly when an autoscaler grow most needs it finished. */
-    int copy_concurrency = 8;
-    /** Dirty-recopy rounds before escalating to drain regardless. */
-    int max_dirty_rounds = 3;
-    /** Poll interval while waiting for in-flight writes to quiesce. */
-    sim::TimeNs drain_poll_interval = sim::Micros(20);
-    /** Drain wait budget; exceeding it aborts the batch. */
-    sim::TimeNs drain_timeout = sim::Millis(5);
     /** Shape of the coordinator's per-shard copy clients. Timeouts
      * must stay enabled so a dead shard aborts the batch instead of
      * parking it forever. */
@@ -106,7 +91,6 @@ class MigrationCoordinator {
                        Options options);
   MigrationCoordinator(FlashCluster& cluster, net::Network& net)
       : MigrationCoordinator(cluster, net, Options()) {}
-  ~MigrationCoordinator();
 
   MigrationCoordinator(const MigrationCoordinator&) = delete;
   MigrationCoordinator& operator=(const MigrationCoordinator&) = delete;
@@ -135,13 +119,25 @@ class MigrationCoordinator {
   const Options& options() const { return options_; }
 
  private:
+  /** Retries per stripe copy I/O before the batch aborts. */
+  static constexpr int kMaxCopyRetries = 3;
+  /** Stripe copies in flight at once. Copy traffic runs at best-effort
+   * priority, so on a busy source shard a sequential QD-1 stream
+   * stretches a rebalance across tens of milliseconds -- exactly when
+   * an autoscaler grow most needs it finished. */
+  static constexpr size_t kCopyConcurrency = 8;
+  /** Dirty-recopy rounds before escalating to drain regardless. */
+  static constexpr int kMaxDirtyRounds = 3;
+  /** Poll interval while waiting for in-flight writes to quiesce. */
+  static constexpr sim::TimeNs kDrainPollInterval = sim::Micros(20);
+  /** Drain stall budget; a count frozen this long aborts the batch. */
+  static constexpr sim::TimeNs kDrainTimeout = sim::Millis(5);
+
   /** Lazily opens the copy session on shard `index`. */
   client::TenantSession* CopySession(int index);
 
-  /** Batch driver coroutine. Its frame -- and the frames of any
-   * CopyWorker fan-out still parked on copy I/O -- are tracked
-   * (batch_handle_, copy_handles_) so a simulation that ends
-   * mid-migration leaves only frames the destructor can reclaim. */
+  /** Batch driver coroutine; it and its CopyWorker fan-out join
+   * frames_. */
   sim::Task RunBatch(std::vector<MigrationAssignment> plan,
                      sim::Promise<bool> done);
 
@@ -159,6 +155,14 @@ class MigrationCoordinator {
   Stats stats_;
   bool busy_ = false;
 
+  /** The RunBatch frame and its CopyWorker frames while they live.
+   * A simulation that ends mid-migration leaves them parked on copy
+   * I/O; the workers joined last, so they die before the batch frame
+   * whose barrier they point at. Declared before paths_, so the copy
+   * clients die first: a client copies each in-flight write out of
+   * its worker's buffer before the worker's frame frees it. */
+  sim::FrameSet frames_;
+
   /** Per-shard copy path: a best-effort tenant registered out of band
    * plus a client/session pair, opened on first use. */
   struct ShardPath {
@@ -166,17 +170,6 @@ class MigrationCoordinator {
     std::unique_ptr<client::TenantSession> session;
   };
   std::vector<ShardPath> paths_;
-
-  /** Live RunBatch frame (parked on an await at teardown if the
-   * simulation ended mid-migration); destroyed by the destructor. */
-  std::coroutine_handle<> batch_handle_;
-  bool batch_active_ = false;
-  /** Live CopyWorker frames by id; each erases itself before
-   * finishing, so whatever remains at teardown is parked on a copy
-   * I/O that will never complete. std::map for node stability -- the
-   * workers park SelfHandle pointers into the mapped values. */
-  std::map<uint64_t, std::coroutine_handle<>> copy_handles_;
-  uint64_t next_copy_id_ = 0;
 };
 
 }  // namespace reflex::cluster

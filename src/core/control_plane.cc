@@ -10,10 +10,6 @@ namespace reflex::core {
 
 ControlPlane::ControlPlane(ReflexServer& server) : server_(server) {}
 
-ControlPlane::~ControlPlane() {
-  if (monitor_handle_) monitor_handle_.destroy();
-}
-
 Tenant* ControlPlane::TryRegister(const SloSpec& slo, TenantClass cls,
                                   ReqStatus* status) {
   auto set_status = [status](ReqStatus s) {
@@ -254,7 +250,7 @@ void ControlPlane::UpdateErrorRates(sim::TimeNs window) {
 }
 
 sim::Task ControlPlane::MonitorLoop() {
-  co_await sim::SelfHandle(&monitor_handle_);
+  auto self = co_await frames_.Join();
   sim::Simulator& sim = server_.sim();
   ResetMonitorBaselines();
   for (;;) {

@@ -1,7 +1,6 @@
 #ifndef REFLEX_CORE_CONTROL_PLANE_H_
 #define REFLEX_CORE_CONTROL_PLANE_H_
 
-#include <coroutine>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -32,7 +31,6 @@ class ReflexServer;
 class ControlPlane {
  public:
   explicit ControlPlane(ReflexServer& server);
-  ~ControlPlane();
 
   /**
    * Admission-checks and registers a tenant. For LC tenants the SLO is
@@ -134,10 +132,6 @@ class ControlPlane {
   int64_t neg_limit_notifications_ = 0;
   std::vector<uint32_t> flagged_tenants_;
   bool monitor_running_ = false;
-  /** MonitorLoop frame. The loop never finishes (it is parked on its
-   * Delay when the simulation ends), so the destructor must destroy
-   * the suspended frame or it leaks. */
-  std::coroutine_handle<> monitor_handle_;
 
   // Utilization snapshot state for the monitor.
   std::vector<sim::TimeNs> last_busy_ns_;
@@ -150,6 +144,9 @@ class ControlPlane {
   std::map<uint32_t, double> tenant_error_rates_;
   int64_t last_total_errors_ = 0;
   int64_t last_total_responses_ = 0;
+  /** The MonitorLoop frame. The loop never finishes: it is parked on
+   * its Delay when the simulation ends. */
+  sim::FrameSet frames_;
 };
 
 }  // namespace reflex::core

@@ -53,17 +53,6 @@ DataplaneThread::DataplaneThread(sim::Simulator& sim, ReflexServer& server,
 }
 
 DataplaneThread::~DataplaneThread() {
-  if (loop_active_ && loop_handle_) {
-    // The loop is parked on its wake future or a Delay whose resume
-    // event will never run (the server is being torn down and the
-    // simulation will not advance past it). Destroy the suspended
-    // frame explicitly; with suspend_never at final_suspend the frame
-    // only self-destructs when the body finishes, which a parked loop
-    // never does. Any already-queued resume for this frame is dead --
-    // the simulator must not run again after the server is destroyed.
-    loop_active_ = false;
-    loop_handle_.destroy();
-  }
   if (qp_ != nullptr && qp_->Outstanding() == 0) {
     device_.FreeQueuePair(qp_);
   }
@@ -79,7 +68,7 @@ void DataplaneThread::Start() {
   // If Shutdown was followed by Start before the old coroutine
   // observed running_ == false, that loop simply keeps going; only
   // spawn a fresh one once the previous loop has fully unwound.
-  if (!loop_active_) RunLoop();
+  if (frames_.empty()) RunLoop();
 }
 
 void DataplaneThread::Shutdown() {
@@ -149,8 +138,7 @@ double DataplaneThread::LlcFactor() const {
 }
 
 sim::Task DataplaneThread::RunLoop() {
-  loop_active_ = true;
-  co_await sim::SelfHandle(&loop_handle_);
+  auto self = co_await frames_.Join();
   while (running_) {
     if (rx_ring_.empty() && cq_ring_.empty()) {
       // Nothing to poll. A real dataplane would spin; we sleep until a
@@ -331,17 +319,14 @@ sim::Task DataplaneThread::RunLoop() {
       resp.sectors = item.io.msg.sectors;
       item.io.MarkStage(obs::Stage::kTxQueued, sim_.Now());
       SendResponse(item.io.conn, resp);
-      if (item.io.gate_id >= 0) server_.OnGatedIoDone(item.io.gate_id);
+      if (item.io.gate_id >= 0) {
+        server_.OnGatedIoDone(item.io.gate_id, item.io.msg);
+      }
     }
     // End of the iteration: the batch releases what it still holds.
     rx_batch_.clear();
     cq_batch_.clear();
   }
-  // Falling off the end self-destroys the frame (final_suspend is
-  // suspend_never); clear the handle so the destructor cannot
-  // double-destroy it.
-  loop_handle_ = nullptr;
-  loop_active_ = false;
 }
 
 void DataplaneThread::HandleControlMsg(ServerConnection* conn,
@@ -446,7 +431,7 @@ void DataplaneThread::FailIo(const PendingIo& io, ReqStatus status) {
   resp.cookie = io.msg.cookie;
   io.MarkStage(obs::Stage::kTxQueued, sim_.Now());
   SendResponse(io.conn, resp);
-  if (io.gate_id >= 0) server_.OnGatedIoDone(io.gate_id);
+  if (io.gate_id >= 0) server_.OnGatedIoDone(io.gate_id, io.msg);
 }
 
 }  // namespace reflex::core

@@ -249,17 +249,6 @@ class DataplaneThread {
   std::vector<uint32_t> free_flash_slots_;
 
   bool running_ = false;
-  /** True while a RunLoop coroutine is alive (it may outlive running_
-   * by one iteration after Shutdown). */
-  bool loop_active_ = false;
-  /**
-   * The live RunLoop coroutine's own frame handle (captured via
-   * sim::SelfHandle, cleared when the loop finishes normally). At
-   * destruction the loop is usually still suspended on its wake
-   * awaiter or a Delay whose resume event will never run -- the destructor
-   * destroys the frame through this handle so it cannot leak.
-   */
-  std::coroutine_handle<> loop_handle_;
   bool ever_started_ = false;
   bool idle_ = false;
   bool resched_armed_ = false;
@@ -270,6 +259,10 @@ class DataplaneThread {
    * Wake() resumes it through a zero-delay event. */
   std::coroutine_handle<> wake_waiter_;
   sim::TimeNs start_time_ = 0;
+  /** The RunLoop frame while it is alive (it may outlive running_ by
+   * one iteration after Shutdown). At destruction the loop is usually
+   * parked on its wake awaiter or a Delay that will never resume. */
+  sim::FrameSet frames_;
 };
 
 }  // namespace reflex::core

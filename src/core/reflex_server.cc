@@ -244,43 +244,57 @@ ReqStatus ReflexServer::CheckRangeGates(const RequestMsg& msg,
                                         int* counted_gate) {
   *counted_gate = -1;
   if (msg.map_epoch == kMapEpochBypass) return ReqStatus::kOk;
-  for (auto& [id, gate] : range_gates_) {
+  const bool is_write = msg.type == ReqType::kWrite;
+  // Decide against every overlapping gate before marking any: Split
+  // merges contiguous runs, so one request can span the gates of
+  // adjacent stripes.
+  for (const auto& [id, gate] : range_gates_) {
     if (!gate.Overlaps(msg.lba, msg.sectors)) continue;
     // The epoch floor applies in every state: a client older than the
     // last cutover that moved this range is routing blind (the lba may
     // belong to a different stripe by now), so it bounces even while a
     // fresh migration is copying the range again.
     if (msg.map_epoch < gate.min_epoch) return ReqStatus::kWrongShard;
-    switch (gate.state) {
-      case RangeGateState::kCopying:
-        if (msg.type == ReqType::kWrite) {
-          gate.dirty = true;
-          ++gate.inflight_writes;
-          *counted_gate = id;
-        }
-        return ReqStatus::kOk;
-      case RangeGateState::kDraining:
-        // Reads still serve (no write can commit under drain); writes
-        // bounce so the range quiesces. The client's bounded retry
-        // straddles the map flip.
-        return msg.type == ReqType::kWrite ? ReqStatus::kWrongShard
-                                           : ReqStatus::kOk;
-      case RangeGateState::kMoved:
-        return ReqStatus::kOk;  // floor already checked above
+    // Reads still serve under drain (no write can commit there);
+    // writes bounce so the range quiesces. The client's bounded retry
+    // straddles the map flip.
+    if (is_write && gate.state == RangeGateState::kDraining) {
+      return ReqStatus::kWrongShard;
+    }
+  }
+  if (!is_write) return ReqStatus::kOk;
+  // Admitted: every copying gate the write lands in must be recopied.
+  // The write is counted in flight once, on the first such gate; the
+  // drain sums the gates of the one running batch.
+  for (auto& [id, gate] : range_gates_) {
+    if (gate.state != RangeGateState::kCopying ||
+        !gate.Overlaps(msg.lba, msg.sectors)) {
+      continue;
+    }
+    gate.dirty = true;
+    if (*counted_gate < 0) {
+      ++gate.inflight_writes;
+      *counted_gate = id;
     }
   }
   return ReqStatus::kOk;
 }
 
-void ReflexServer::OnGatedIoDone(int gate_id) {
-  RangeGate* gate = FindRangeGate(gate_id);
-  if (gate == nullptr) return;
-  REFLEX_CHECK(gate->inflight_writes > 0);
-  --gate->inflight_writes;
+void ReflexServer::OnGatedIoDone(int gate_id, const RequestMsg& msg) {
+  RangeGate* counted = FindRangeGate(gate_id);
+  if (counted == nullptr) return;
+  REFLEX_CHECK(counted->inflight_writes > 0);
+  --counted->inflight_writes;
   // Dirty again on completion, not only on arrival: a copy read that
   // started after the write arrived (clearing the bit) but before it
-  // reached flash missed it, and only this forces the recopy.
-  gate->dirty = true;
+  // reached flash missed it, and only this forces the recopy -- of
+  // every gate the write spans that is still copying or draining.
+  for (auto& [id, gate] : range_gates_) {
+    if (gate.state != RangeGateState::kMoved &&
+        gate.Overlaps(msg.lba, msg.sectors)) {
+      gate.dirty = true;
+    }
+  }
 }
 
 DataplaneStats ReflexServer::AggregateStats() const {

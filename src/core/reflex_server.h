@@ -41,9 +41,6 @@ struct ServerOptions {
   DataplaneConfig dataplane;
   QosScheduler::Config qos;
 
-  /** Enforce ACLs strictly (deny-by-default). */
-  bool strict_acl = false;
-
   /**
    * Network transport for client connections. TCP is the paper's
    * conservative default; UDP is the lighter option it names as
@@ -221,17 +218,21 @@ class ReflexServer {
   bool HasRangeGates() const { return !range_gates_.empty(); }
 
   /**
-   * Gate admission for one parsed request (dataplane parse step).
-   * Returns kOk or kWrongShard; on an admitted write under a kCopying
-   * gate, marks the gate dirty, bumps its in-flight count and stores
-   * the gate id in *counted_gate (else -1). Requests stamped with the
-   * bypass epoch skip gating entirely (single-server clients and the
-   * migration coordinator's own copy traffic).
+   * Gate admission for one parsed request (dataplane parse step),
+   * decided over every gate the request overlaps: kWrongShard if any
+   * gate's epoch floor is above the request's epoch or a write meets
+   * a kDraining gate, else kOk. An admitted write marks every
+   * overlapping kCopying gate dirty, bumps the in-flight count of the
+   * first one and stores its id in *counted_gate (else -1). Requests
+   * stamped with the bypass epoch skip gating entirely (single-server
+   * clients and the migration coordinator's own copy traffic).
    */
   ReqStatus CheckRangeGates(const RequestMsg& msg, int* counted_gate);
 
-  /** Decrements the in-flight count of a still-installed gate. */
-  void OnGatedIoDone(int gate_id);
+  /** Completion of the write `msg` counted in `gate_id`: decrements
+   * that gate's in-flight count (if still installed) and re-dirties
+   * every overlapping gate that is not yet kMoved. */
+  void OnGatedIoDone(int gate_id, const RequestMsg& msg);
 
  private:
   friend class ControlPlane;

@@ -80,9 +80,8 @@ void CoroDebugAssertNoLiveFrames() {
   REFLEX_PANIC(
       "REFLEX_CORO_DEBUG: %zu coroutine frame(s) still alive at Simulator "
       "teardown (created %" PRIu64 ", destroyed %" PRIu64
-      "). Every parked sim::Task must be registered via co_await "
-      "sim::SelfHandle and destroy()ed by its owner before the simulator "
-      "dies.%s",
+      "). Every parked sim::Task must join its owner's sim::FrameSet, "
+      "and the owner must destroy the set before the simulator dies.%s",
       r.live.size(), r.created, r.destroyed, sites.c_str());
 }
 

@@ -31,8 +31,8 @@ Simulator::Simulator() : slots_(kNumSlots) {}
 Simulator::~Simulator() {
   // Under REFLEX_CORO_DEBUG, every coroutine frame must already be
   // destroyed: completed tasks self-destructed, parked tasks were
-  // destroy()ed by their owners (via their SelfHandle slots) before
-  // the simulator. A frame still alive here is the leak class LSan
+  // destroyed by their owners (via their sim::FrameSet) before the
+  // simulator. A frame still alive here is the leak class LSan
   // cannot see -- its handle is stored, so it is reachable, yet
   // nothing will ever run or free it. Checked before callbacks are
   // torn down so the report fires ahead of any use-after-free.

@@ -30,12 +30,11 @@ namespace reflex::sim {
  *
  * Ownership rulebook (DESIGN.md section 18, enforced by corolint):
  * a Task that can outlive the code that spawned it -- any infinite
- * polling loop, or any await on an event that may never fire -- must
- * publish its handle via `co_await SelfHandle(&slot_)` so a designated
- * owner can destroy() the parked frame at teardown, and must clear
- * that slot on every normal-return path. Parameters are passed by
- * value or pointer, never by reference, and coroutine lambdas never
- * capture: the frame suspends, and referents/captures die under it.
+ * polling loop, or any await on an event that may never fire -- joins
+ * its owner's FrameSet, so the owner destroys the parked frame at
+ * teardown. Parameters are passed by value or pointer, never by
+ * reference, and coroutine lambdas never capture: the frame suspends,
+ * and referents/captures die under it.
  *
  * With -DREFLEX_CORO_DEBUG=ON every frame registers itself with the
  * coro_debug registry on creation (tagged with the coroutine's name)
@@ -43,10 +42,10 @@ namespace reflex::sim {
  * are left alive. See src/sim/coro_debug.h.
  *
  * Usage:
- *   Task ServerLoop(Simulator& sim, ...) {
- *     co_await SelfHandle(&loop_handle_);
+ *   Task Server::Loop() {
+ *     auto self = co_await frames_.Join();
  *     for (;;) {
- *       co_await Delay(sim, 5 * kMicrosecond);
+ *       co_await Delay(sim_, 5 * kMicrosecond);
  *       ...
  *     }
  *   }
@@ -88,28 +87,82 @@ class Task {
 };
 
 /**
- * Awaitable that exposes the current coroutine's own handle without
- * suspending it. A long-lived loop stores the handle into a member its
- * owner can see; the owner may then destroy() the frame at teardown if
- * the loop is still parked on an awaitable whose wake event will never
- * run (e.g. a simulation that ends while the loop waits for work). The
- * coroutine must clear the slot before finishing normally -- with
- * suspend_never final_suspend the frame self-destructs and the stored
- * handle would dangle.
+ * The parked coroutine frames that one object owns. A coroutine that
+ * can park where no event will ever resume it (a polling loop, or an
+ * await on an event that may never fire) joins its owner's set with
+ * one statement at the top of its body:
+ *
+ *   auto self = co_await frames_.Join();
+ *
+ * The join neither suspends nor allocates: `self` is the frame's link,
+ * it lives in the frame and unlinks itself when the frame ends --
+ * whether the body returns or the frame is destroyed. Destroying the
+ * set, or Clear(), destroys every frame still joined, newest first, so
+ * a frame started by an older joined frame dies before the frame whose
+ * locals it points at. The owner destroys its frames before anything
+ * they reference (it declares the set after those members, or clears
+ * it first in its destructor) and after anything that points into
+ * them.
  */
-class SelfHandle {
- public:
-  explicit SelfHandle(std::coroutine_handle<>* out) : out_(out) {}
+class FrameSet {
+ private:
+  struct Link {
+    Link* prev;
+    Link* next;
+  };
 
-  bool await_ready() const noexcept { return false; }
-  bool await_suspend(std::coroutine_handle<> h) noexcept {
-    *out_ = h;
-    return false;  // capture only; resume immediately
+ public:
+  /** A joined frame's link (the value of `co_await Join()`). */
+  class Member : private Link {
+   public:
+    Member(const Member&) = delete;
+    Member& operator=(const Member&) = delete;
+    ~Member() {
+      prev->next = next;
+      next->prev = prev;
+    }
+
+   private:
+    friend class FrameSet;
+    Member(Link* head, std::coroutine_handle<> frame) noexcept
+        : Link{head->prev, head}, frame_(frame) {
+      prev->next = this;
+      head->prev = this;
+    }
+    std::coroutine_handle<> frame_;
+  };
+
+  FrameSet() noexcept : head_{&head_, &head_} {}
+  FrameSet(const FrameSet&) = delete;
+  FrameSet& operator=(const FrameSet&) = delete;
+  ~FrameSet() { Clear(); }
+
+  /** Awaitable that links the awaiting frame into this set without
+   * suspending it; its value is the frame's Member. */
+  auto Join() noexcept {
+    struct Awaiter {
+      Link* head;
+      std::coroutine_handle<> frame;
+      bool await_ready() const noexcept { return false; }
+      bool await_suspend(std::coroutine_handle<> h) noexcept {
+        frame = h;
+        return false;  // capture only; resume immediately
+      }
+      Member await_resume() const noexcept { return Member(head, frame); }
+    };
+    return Awaiter{&head_, nullptr};
   }
-  void await_resume() const noexcept {}
+
+  bool empty() const noexcept { return head_.next == &head_; }
+
+  /** Destroys every joined frame, newest first. Each frame's Member
+   * unlinks itself as the frame dies. */
+  void Clear() {
+    while (!empty()) static_cast<Member*>(head_.prev)->frame_.destroy();
+  }
 
  private:
-  std::coroutine_handle<>* out_;
+  Link head_;
 };
 
 /**

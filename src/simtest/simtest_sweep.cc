@@ -214,6 +214,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(seed),
                   static_cast<long long>(report.ops_executed),
                   static_cast<long long>(report.reads_checked));
+      // A sanitizer abort in the next seed's run must not swallow this
+      // line: the last seed printed then names the seed that crashed.
+      std::fflush(stdout);
       continue;
     }
 

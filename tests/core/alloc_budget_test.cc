@@ -1,8 +1,10 @@
 // Allocation budget of the remote I/O path: once a closed loop has
 // reached steady state, an I/O from IoSession::Read/Write or
 // BlockDevice::ReadBytes to the flash device and back performs no heap
-// allocation at all, and a PageCache miss allocates no page buffer. This binary replaces the global operator new and
-// delete with counting versions, so it must stay its own executable.
+// allocation at all, a PageCache miss allocates no page buffer, and a
+// frame joining a sim::FrameSet allocates nothing. This binary replaces
+// the global operator new and delete with counting versions, so it must
+// stay its own executable.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,8 @@
 #include "client/page_cache.h"
 #include "client/reflex_client.h"
 #include "sim/pool.h"
+#include "sim/simulator.h"
+#include "sim/task.h"
 #include "testing/harness.h"
 
 namespace {
@@ -209,6 +213,34 @@ TEST_F(AllocBudgetTest, PageCacheMissReusesEvictedBuffers) {
   EXPECT_LE(w.allocations, 3 * w.ios)
       << static_cast<double>(w.allocations) / static_cast<double>(w.ios)
       << " heap allocations per miss over " << w.ios << " misses";
+}
+
+// Joins `frames`, parks on a Delay and returns.
+sim::Task JoinAndPark(sim::FrameSet* frames, sim::Simulator* sim,
+                      sim::TimeNs delay) {
+  auto self = co_await frames->Join();
+  co_await sim::Delay(*sim, delay);
+}
+
+TEST_F(AllocBudgetTest, FrameSetJoinAndFinishAllocateNothing) {
+  sim::Simulator sim;
+  sim::FrameSet frames;
+  // Eight frames per round, parked side by side and finishing out of
+  // join order, so frames unlink from the middle of the set.
+  constexpr int kFramesPerRound = 8;
+  auto round = [&] {
+    for (int i = 0; i < kFramesPerRound; ++i) {
+      JoinAndPark(&frames, &sim, 1 + (i * 5) % kFramesPerRound);
+    }
+    sim.Run();
+  };
+  for (int i = 0; i < 100; ++i) round();  // warm-up
+  const int64_t allocs_before = g_allocations;
+  constexpr int kCycles = 10000;
+  for (int i = 0; i < kCycles / kFramesPerRound; ++i) round();
+  EXPECT_EQ(g_allocations - allocs_before, 0)
+      << "heap allocations over " << kCycles << " join/finish cycles";
+  EXPECT_TRUE(frames.empty());
 }
 
 }  // namespace

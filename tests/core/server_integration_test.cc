@@ -168,9 +168,7 @@ TEST(ServerIntegrationTest, AdmissionControlDirect) {
 }
 
 TEST(ServerIntegrationTest, StrictAclDeniesIo) {
-  core::ServerOptions options;
-  options.strict_acl = true;
-  Harness h(options);
+  Harness h;
   h.server.acl().SetStrict(true);
   core::Tenant* tenant = h.LcTenant();
   h.server.acl().AddNamespace(1, 0, 1 << 20);

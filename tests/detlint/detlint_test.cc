@@ -428,7 +428,7 @@ TEST(DetlintDriver, ReportOrderIsSortedByPath) {
 
 TEST(DetlintCatalog, HasAllTwelveRulesAcrossTwoAnalyzers) {
   const auto& catalog = RuleCatalog();
-  ASSERT_EQ(catalog.size(), 12u);
+  ASSERT_EQ(catalog.size(), 11u);
   std::vector<std::string> ids;
   for (const RuleInfo& r : catalog) {
     ids.push_back(r.id);
@@ -440,8 +440,7 @@ TEST(DetlintCatalog, HasAllTwelveRulesAcrossTwoAnalyzers) {
        {"wall-clock", "ambient-rng", "unordered-container",
         "unordered-iter", "pointer-key", "bare-suppression",
         "coawait-ternary", "coro-ref-param", "coro-lambda-capture",
-        "coro-untracked-loop", "coro-selfhandle-clear",
-        "coro-manual-resume"}) {
+        "coro-untracked-loop", "coro-manual-resume"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), want), ids.end()) << want;
   }
   EXPECT_EQ(AnalyzerNames().size(), 2u);
@@ -473,13 +472,12 @@ TEST(DetlintContexts, RecoversTaskFunctionWithParams) {
 TEST(DetlintContexts, RecoversQualifiedMemberDefinition) {
   const LexResult lex = Lex(
       "sim::Task Dataplane::RunLoop() {\n"
-      "  co_await sim::SelfHandle(&loop_handle_);\n"
-      "  loop_handle_ = nullptr;\n"
+      "  auto self = co_await frames_.Join();\n"
       "}\n");
   const auto ctxs = BuildFunctionContexts(lex);
   ASSERT_EQ(ctxs.size(), 1u);
   EXPECT_EQ(ctxs[0].name, "RunLoop");
-  EXPECT_TRUE(ctxs[0].registers_self_handle);
+  EXPECT_TRUE(ctxs[0].joins_frame_set);
 }
 
 TEST(DetlintContexts, SkipsDeclarationsWithoutBody) {
@@ -599,11 +597,22 @@ TEST(CorolintRules, UntrackedInfiniteLoop) {
   EXPECT_TRUE(OnlyRule(r, "coro-untracked-loop"));
 }
 
+TEST(CorolintRules, JoinThatIsNotAwaitedDoesNotTrackALoop) {
+  const FileReport r = LintCoro(
+      "sim::Task Poll(Plane* p) {\n"
+      "  p->frames_.Join();\n"
+      "  for (;;) {\n"
+      "    co_await p->Tick();\n"
+      "  }\n"
+      "}\n");
+  EXPECT_TRUE(OnlyRule(r, "coro-untracked-loop"));
+}
+
 TEST(CorolintRules, TrackedOrTerminatingLoopsAreClean) {
   const FileReport r = LintCoro(
-      // Registered frame: owner can destroy it.
+      // Joined frame: its owner destroys it.
       "sim::Task Monitor(Plane* p) {\n"
-      "  co_await sim::SelfHandle(&p->monitor_handle_);\n"
+      "  auto self = co_await p->frames_.Join();\n"
       "  for (;;) {\n"
       "    co_await sim::Delay(p->sim(), 100);\n"
       "  }\n"
@@ -637,45 +646,6 @@ TEST(CorolintRules, BreakInNestedLoopDoesNotTerminateOuter) {
       "  }\n"
       "}\n");
   EXPECT_TRUE(OnlyRule(r, "coro-untracked-loop"));
-}
-
-TEST(CorolintRules, SelfHandleSlotNeverCleared) {
-  const FileReport r = LintCoro(
-      "sim::Task Worker::Run() {\n"
-      "  co_await sim::SelfHandle(&loop_handle_);\n"
-      "  while (running_) {\n"
-      "    co_await Tick();\n"
-      "  }\n"
-      "}\n");
-  EXPECT_TRUE(OnlyRule(r, "coro-selfhandle-clear"));
-}
-
-TEST(CorolintRules, SelfHandleClearedByAssignOrErase) {
-  const FileReport r = LintCoro(
-      "sim::Task Worker::Run() {\n"
-      "  co_await sim::SelfHandle(&loop_handle_);\n"
-      "  while (running_) {\n"
-      "    co_await Tick();\n"
-      "  }\n"
-      "  loop_handle_ = nullptr;\n"
-      "}\n"
-      "sim::Task Copier::Run(int id) {\n"
-      "  co_await sim::SelfHandle(&copy_handles_[id]);\n"
-      "  co_await Copy(id);\n"
-      "  copy_handles_.erase(id);\n"
-      "}\n");
-  EXPECT_TRUE(r.findings.empty())
-      << r.findings[0].rule << " at " << r.findings[0].line;
-}
-
-TEST(CorolintRules, SelfHandleEqualityCompareIsNotAClear) {
-  const FileReport r = LintCoro(
-      "sim::Task Worker::Run() {\n"
-      "  co_await sim::SelfHandle(&loop_handle_);\n"
-      "  co_await Tick();\n"
-      "  if (loop_handle_ == nullptr) { co_return; }\n"
-      "}\n");
-  EXPECT_TRUE(OnlyRule(r, "coro-selfhandle-clear"));
 }
 
 TEST(CorolintRules, ManualResumeOutsideEventQueue) {
@@ -747,8 +717,6 @@ TEST(DetlintFixtures, CorolintCanariesTripTheirRules) {
                        "coro-lambda-capture"));
   EXPECT_TRUE(OnlyRule(LintFixture("canary_coro_untracked_loop.cc"),
                        "coro-untracked-loop"));
-  EXPECT_TRUE(OnlyRule(LintFixture("canary_coro_selfhandle_clear.cc"),
-                       "coro-selfhandle-clear"));
   EXPECT_TRUE(OnlyRule(LintFixture("canary_coro_manual_resume.cc"),
                        "coro-manual-resume"));
 }

@@ -1,6 +1,6 @@
-// Planted canary: infinite-loop coroutine that never registers its
-// frame via co_await sim::SelfHandle, so no owner can destroy it when
-// the simulation ends mid-await.
+// Planted canary: infinite-loop coroutine that never joins a frame set
+// (co_await frames_.Join()), so no owner can destroy it when the
+// simulation ends mid-await.
 #include "fake_sim.h"
 
 sim::Task PollForever(sim::Simulator* sim, Session* session) {

@@ -37,13 +37,12 @@ void SpawnClean(sim::Simulator* sim) {
   task(sim);
 }
 
-// Infinite loop with a registered frame, slot cleared before return.
+// Infinite loop whose frame joins its owner's frame set.
 sim::Task Worker::Run() {
-  co_await sim::SelfHandle(&loop_handle_);
-  while (running_) {
+  auto self = co_await frames_.Join();
+  for (;;) {
     co_await Tick();
   }
-  loop_handle_ = nullptr;
 }
 
 // Terminating loops need no registration.

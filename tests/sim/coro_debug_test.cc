@@ -11,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <coroutine>
-
 #include "sim/simulator.h"
 #include "sim/task.h"
 
@@ -45,10 +43,9 @@ TEST(CoroDebugTest, CountersTrackFrameLifetimes) {
   EXPECT_EQ(after.live, before.live);
 }
 
-Task ParkForever(Future<Unit> never, std::coroutine_handle<>* slot) {
-  co_await SelfHandle(slot);
+Task ParkForever(Future<Unit> never, FrameSet* frames) {
+  auto self = co_await frames->Join();
   co_await never;  // the promise is never set; the frame parks here
-  *slot = nullptr;
 }
 
 TEST(CoroDebugTest, OwnerDestroyingParkedFrameIsClean) {
@@ -59,15 +56,16 @@ TEST(CoroDebugTest, OwnerDestroyingParkedFrameIsClean) {
   {
     Simulator sim;
     Promise<Unit> promise(sim);
-    std::coroutine_handle<> slot;
-    ParkForever(promise.GetFuture(), &slot);
+    FrameSet frames;
+    ParkForever(promise.GetFuture(), &frames);
     sim.Run();
-    ASSERT_TRUE(slot);
-    EXPECT_TRUE(CoroDebugIsLive(slot.address()));
+    ASSERT_FALSE(frames.empty());
+    EXPECT_EQ(CoroDebugGetStats().live, before.live + 1);
     // The ownership rule: the owner destroys the parked frame before
     // the simulator dies.
-    slot.destroy();
-    EXPECT_FALSE(CoroDebugIsLive(slot.address()));
+    frames.Clear();
+    EXPECT_TRUE(frames.empty());
+    EXPECT_EQ(CoroDebugGetStats().live, before.live);
   }
   const CoroDebugStats after = CoroDebugGetStats();
   EXPECT_EQ(after.live, before.live);
@@ -78,28 +76,24 @@ TEST(CoroDebugDeathTest, LeakedFrameTripsTeardownAssert) {
     GTEST_SKIP() << "built without REFLEX_CORO_DEBUG";
   }
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // The handle stays stored in `slot` until after ~Simulator, so the
-  // frame is reachable the whole time -- LSan would stay silent -- but
-  // the registry still counts it as live and the teardown assert
-  // fires, naming the creation site.
+  // The set outlives the Simulator, so the frame is reachable the
+  // whole time -- LSan would stay silent -- but the registry still
+  // counts it as live and the teardown assert fires, naming the
+  // creation site.
   EXPECT_DEATH(
       {
-        std::coroutine_handle<> slot;
-        {
-          Simulator sim;
-          Promise<Unit> promise(sim);
-          ParkForever(promise.GetFuture(), &slot);
-          sim.Run();
-        }  // ~Simulator with the frame still parked
-        if (slot) slot.destroy();
+        FrameSet frames;
+        Simulator sim;
+        Promise<Unit> promise(sim);
+        ParkForever(promise.GetFuture(), &frames);
+        sim.Run();
       },
       "still alive at Simulator teardown");
 }
 
-Task AcquireOnce(Semaphore* sem, std::coroutine_handle<>* slot, int* got) {
-  co_await SelfHandle(slot);
+Task AcquireOnce(Semaphore* sem, FrameSet* frames, int* got) {
+  auto self = co_await frames->Join();
   co_await sem->Acquire();
-  *slot = nullptr;
   *got = 1;
 }
 
@@ -117,12 +111,11 @@ TEST(CoroDebugDeathTest, SemaphoreReleaseOfDestroyedWaiterPanics) {
       {
         Simulator sim;
         Semaphore sem(sim, 0);
-        std::coroutine_handle<> slot;
+        FrameSet frames;
         int got = 0;
-        AcquireOnce(&sem, &slot, &got);
+        AcquireOnce(&sem, &frames, &got);
         sim.Run();
-        slot.destroy();  // owner tears the waiter down while queued
-        slot = nullptr;
+        frames.Clear();  // owner tears the waiter down while queued
         sem.Release();
         sim.Run();
       },
@@ -132,15 +125,16 @@ TEST(CoroDebugDeathTest, SemaphoreReleaseOfDestroyedWaiterPanics) {
 TEST(CoroDebugTest, SemaphoreReleaseOfLiveWaiterResumes) {
   Simulator sim;
   Semaphore sem(sim, 0);
-  std::coroutine_handle<> slot;
+  FrameSet frames;
   int got = 0;
-  AcquireOnce(&sem, &slot, &got);
+  AcquireOnce(&sem, &frames, &got);
   sim.Run();
   EXPECT_EQ(got, 0);
+  EXPECT_FALSE(frames.empty());
   sem.Release();
   sim.Run();
   EXPECT_EQ(got, 1);
-  EXPECT_FALSE(slot);  // coroutine cleared its slot before returning
+  EXPECT_TRUE(frames.empty());  // the finished frame left the set
 }
 
 }  // namespace

@@ -172,6 +172,97 @@ TEST(TaskTest, DefaultFutureIsNeverReady) {
   EXPECT_EQ(f.Get(), 7);
 }
 
+// --- FrameSet ---
+
+/** Appends `id` to `log` when the frame holding it dies. */
+struct DeathMark {
+  std::vector<int>* log;
+  int id;
+  ~DeathMark() { log->push_back(id); }
+};
+
+Task JoinAndFinish(FrameSet* frames, int* steps) {
+  auto self = co_await frames->Join();
+  ++*steps;  // runs in the same event as the spawn: the join never parks
+  EXPECT_FALSE(frames->empty());
+}
+
+TEST(FrameSetTest, JoinDoesNotSuspendAndNormalReturnUnlinks) {
+  Simulator sim;
+  FrameSet frames;
+  EXPECT_TRUE(frames.empty());
+  int steps = 0;
+  JoinAndFinish(&frames, &steps);
+  EXPECT_EQ(steps, 1);
+  EXPECT_TRUE(frames.empty());
+  EXPECT_EQ(sim.Now(), 0);
+  frames.Clear();  // nothing joined: a no-op
+  EXPECT_TRUE(frames.empty());
+}
+
+Task ParkOnFuture(FrameSet* frames, Future<Unit> f, std::vector<int>* log,
+                  int id, int* resumed) {
+  auto self = co_await frames->Join();
+  DeathMark mark{log, id};
+  co_await f;
+  ++*resumed;
+}
+
+Task ParkOnDelay(FrameSet* frames, Simulator* sim, TimeNs delay,
+                 std::vector<int>* log, int id, int* resumed) {
+  auto self = co_await frames->Join();
+  DeathMark mark{log, id};
+  co_await Delay(*sim, delay);
+  ++*resumed;
+}
+
+TEST(FrameSetTest, TeardownDestroysParkedFramesNewestFirst) {
+  Simulator sim;
+  Promise<Unit> later(sim);
+  Promise<Unit> never(sim);
+  std::vector<int> destroyed;
+  int resumed = 0;
+  {
+    FrameSet frames;
+    ParkOnFuture(&frames, later.GetFuture(), &destroyed, 1, &resumed);
+    ParkOnDelay(&frames, &sim, 100, &destroyed, 2, &resumed);
+    ParkOnFuture(&frames, never.GetFuture(), &destroyed, 3, &resumed);
+    sim.RunUntil(50);
+    EXPECT_FALSE(frames.empty());
+    EXPECT_TRUE(destroyed.empty());
+  }
+  EXPECT_EQ(destroyed, (std::vector<int>{3, 2, 1}));
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  // The simulator runs on: the Delay's timer was cancelled and the
+  // Future's waiter dropped, so nothing resumes a freed frame.
+  later.Set(Unit{});
+  sim.Run();
+  EXPECT_EQ(resumed, 0);
+  EXPECT_EQ(sim.Now(), 50);
+}
+
+TEST(FrameSetTest, FrameFinishesWhileSiblingsStayParked) {
+  Simulator sim;
+  Promise<Unit> never(sim);
+  std::vector<int> destroyed;
+  int resumed = 0;
+  FrameSet frames;
+  ParkOnFuture(&frames, never.GetFuture(), &destroyed, 1, &resumed);
+  ParkOnDelay(&frames, &sim, 10, &destroyed, 2, &resumed);
+  ParkOnDelay(&frames, &sim, 1000, &destroyed, 3, &resumed);
+  sim.RunUntil(100);
+  // The middle frame returned and unlinked itself; its neighbours
+  // stay joined.
+  EXPECT_EQ(resumed, 1);
+  EXPECT_EQ(destroyed, (std::vector<int>{2}));
+  EXPECT_FALSE(frames.empty());
+  frames.Clear();
+  EXPECT_TRUE(frames.empty());
+  EXPECT_EQ(destroyed, (std::vector<int>{2, 3, 1}));
+  sim.Run();
+  EXPECT_EQ(resumed, 1);
+}
+
 Task AwaitInt(Future<int> f) { (void)co_await f; }
 
 TEST(TaskDeathTest, GetOnDefaultFutureFailsCheck) {

@@ -136,6 +136,14 @@ TEST(MigrationSweepTest, Seed2667LateCopyReadRunsClean) {
   ExpectClean(RunScenario(GenerateScenario(2667)), 2667);
 }
 
+// Regression: default seed 214 ends with a copy write in flight. The
+// coordinator's teardown freed the worker frame's buffer before the
+// copy client, whose destructor still copied that write out of it
+// (heap-use-after-free under ASan).
+TEST(MigrationSweepTest, Seed214TeardownMidCopyWriteRunsClean) {
+  ExpectClean(RunScenario(GenerateScenario(214)), 214);
+}
+
 /** A seed with the sweep's --policy / --migrate overrides applied
  * post-expansion, exactly as simtest_sweep and simtest_repro do. */
 ScenarioSpec ExpandForced(uint64_t seed, const char* policy, bool migrate) {
@@ -175,6 +183,15 @@ TEST(MigrationSweepTest, Seed818QwinQueuedWriteRecopied) {
 
 TEST(MigrationSweepTest, Seed818MigrateQwinQueuedWriteRecopied) {
   ExpectClean(RunScenario(ExpandForced(818, "qwin", true)), 818);
+}
+
+// Regression: a write whose extent spanned the gates of two adjacent
+// stripes (Split merges contiguous runs) dirtied only the first gate,
+// so the second stripe's copy missed it and a later read returned
+// version 0. Failed with a stale read before the gate check visited
+// every overlapping gate.
+TEST(MigrationSweepTest, Seed177QwinWriteSpanningTwoGatesRecopied) {
+  ExpectClean(RunScenario(ExpandForced(177, "qwin", false)), 177);
 }
 
 TEST(MigrationSweepTest, ForcedMigrationRoundTripsThroughArtifact) {

@@ -116,6 +116,26 @@ std::vector<Param> ParseParams(const TokenVec& toks, size_t open,
   return params;
 }
 
+/** True if the identifier at `i` is called as a member: `x.i(`/`x->i(`. */
+bool IsMemberCall(const TokenVec& toks, size_t i) {
+  return i > 0 && (IsPunct(toks, i - 1, ".") || IsPunct(toks, i - 1, "->")) &&
+         IsPunct(toks, i + 1, "(");
+}
+
+/** True if a co_await precedes token `i` within its statement. */
+bool IsAwaited(const TokenVec& toks, size_t i) {
+  while (i-- > 0) {
+    if (IsPunct(toks, i, ";") || IsPunct(toks, i, "{") ||
+        IsPunct(toks, i, "}")) {
+      return false;
+    }
+    if (toks[i].kind == Token::Kind::kIdent && toks[i].text == "co_await") {
+      return true;
+    }
+  }
+  return false;
+}
+
 void ScanBody(const TokenVec& toks, FunctionContext* ctx) {
   for (size_t i = ctx->body_begin; i < ctx->body_end; ++i) {
     if (toks[i].kind != Token::Kind::kIdent) continue;
@@ -123,7 +143,9 @@ void ScanBody(const TokenVec& toks, FunctionContext* ctx) {
     if (t == "co_await" || t == "co_return" || t == "co_yield") {
       ctx->is_coroutine = true;
     }
-    if (t == "SelfHandle") ctx->registers_self_handle = true;
+    if (t == "Join" && IsMemberCall(toks, i) && IsAwaited(toks, i)) {
+      ctx->joins_frame_set = true;
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-// corolint: the coroutine-lifetime analyzer. Six rules, each encoding
+// corolint: the coroutine-lifetime analyzer. Five rules, each encoding
 // a bug class this repository actually shipped (see detlint.h and
 // DESIGN.md section 18 for the rulebook and the incidents behind it).
 
@@ -266,80 +266,17 @@ std::vector<InfiniteLoop> FindInfiniteLoops(const TokenVec& toks,
 void RuleUntrackedLoop(const TokenVec& toks, const FunctionContext& ctx,
                        std::vector<Finding>* findings) {
   if (!ctx.returns_task || !ctx.is_coroutine) return;
-  if (ctx.registers_self_handle) return;
+  if (ctx.joins_frame_set) return;
   for (const InfiniteLoop& loop :
        FindInfiniteLoops(toks, ctx.body_begin, ctx.body_end)) {
     if (!ContainsIdent(toks, loop.body_begin, loop.body_end, "co_await")) {
       continue;
     }
     Add(findings, "coro-untracked-loop", toks[loop.header].line,
-        "infinite-loop coroutine never registers `co_await "
-        "sim::SelfHandle(...)`: when the simulation ends mid-await the "
-        "frame is unreachable and leaks past teardown (LSan stays "
-        "silent while the handle is stored); register the frame so its "
-        "owner can destroy() it");
-  }
-}
-
-// ------------------------------------------- rule: coro-selfhandle-clear
-
-void RuleSelfHandleClear(const TokenVec& toks, const FunctionContext& ctx,
-                         std::vector<Finding>* findings) {
-  if (!ctx.returns_task || !ctx.is_coroutine) return;
-  if (!ctx.registers_self_handle) return;
-  // A coroutine that cannot finish normally (it parks forever in an
-  // infinite loop with no break/return) never self-destructs, so its
-  // slot never dangles.
-  if (!FindInfiniteLoops(toks, ctx.body_begin, ctx.body_end).empty()) return;
-  // Locate `SelfHandle ( & <slot-expr> )` and extract the slot's base
-  // identifier: the last identifier outside subscripts, so
-  // `&copy_handles_[id]` -> copy_handles_ and `&o->slot_` -> slot_.
-  for (size_t i = ctx.body_begin; i < ctx.body_end; ++i) {
-    if (!(toks[i].kind == Token::Kind::kIdent &&
-          toks[i].text == "SelfHandle")) {
-      continue;
-    }
-    if (!IsPunct(toks, i + 1, "(")) continue;
-    const size_t close = SkipBalanced(toks, i + 1) - 1;
-    std::string base;
-    int bracket = 0;
-    for (size_t j = i + 2; j < close; ++j) {
-      if (toks[j].kind == Token::Kind::kPunct) {
-        if (toks[j].text == "[") ++bracket;
-        if (toks[j].text == "]") --bracket;
-        continue;
-      }
-      if (toks[j].kind == Token::Kind::kIdent && bracket == 0) {
-        base = toks[j].text;
-      }
-    }
-    if (base.empty()) continue;
-    // The slot must be cleared somewhere after registration: either
-    // `<base> = ...` (assignment, not `==`) or `<base>.erase(...)`.
-    bool cleared = false;
-    for (size_t j = close + 1; j + 1 < ctx.body_end; ++j) {
-      if (!(toks[j].kind == Token::Kind::kIdent && toks[j].text == base)) {
-        continue;
-      }
-      if (IsPunct(toks, j + 1, "=") && !IsPunct(toks, j + 2, "=")) {
-        cleared = true;
-        break;
-      }
-      if ((IsPunct(toks, j + 1, ".") || IsPunct(toks, j + 1, "->")) &&
-          IsIdent(toks, j + 2, "erase")) {
-        cleared = true;
-        break;
-      }
-    }
-    if (!cleared) {
-      Add(findings, "coro-selfhandle-clear", toks[i].line,
-          "SelfHandle slot '" + base +
-              "' is never cleared before the coroutine returns: with "
-              "suspend_never final_suspend the frame self-destructs on "
-              "normal return and the stored handle dangles (owner "
-              "would destroy() freed memory); null the slot or erase "
-              "its entry on every exit path");
-    }
+        "infinite-loop coroutine never joins a frame set (`co_await "
+        "frames_.Join()`): when the simulation ends mid-await the frame "
+        "is unreachable and leaks past teardown; join its owner's "
+        "sim::FrameSet so the owner destroys it");
   }
 }
 
@@ -405,7 +342,6 @@ void RunCoroutineRules(const AnalyzerInput& in,
     RuleRefParam(ctx, findings);
     RuleLambdaCapture(ctx, findings);
     RuleUntrackedLoop(toks, ctx, findings);
-    RuleSelfHandleClear(toks, ctx, findings);
   }
   RuleManualResume(toks, in.functions, findings);
 }

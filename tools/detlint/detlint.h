@@ -63,14 +63,9 @@
  *                         in the lambda object, which is usually a
  *                         temporary dead by the first suspension
  *   coro-untracked-loop   an infinite-loop task (`for(;;)`/`while(true)`
- *                         around a co_await) must register its frame
- *                         via `co_await sim::SelfHandle(...)` so an
+ *                         around a co_await) must join its owner's
+ *                         frame set (`co_await frames_.Join()`) so the
  *                         owner can destroy it at teardown
- *   coro-selfhandle-clear a coroutine that registers a SelfHandle slot
- *                         must clear (assign null / erase) that slot
- *                         before returning normally: with suspend_never
- *                         final_suspend the frame self-destructs and
- *                         the stored handle dangles
  *   coro-manual-resume    no coroutine_handle::resume() outside the
  *                         simulator event queue: resume through
  *                         ScheduleAfter/ScheduleAt to keep stack depth
@@ -136,7 +131,7 @@ struct FunctionContext {
   bool has_capture = false;   // lambda with a non-empty capture list
   bool returns_task = false;  // declared return type [sim::]Task
   bool is_coroutine = false;  // body contains co_await/co_return/co_yield
-  bool registers_self_handle = false;  // body mentions SelfHandle
+  bool joins_frame_set = false;  // body awaits `<set>.Join()`
   std::vector<Param> params;
   size_t body_begin = 0;
   size_t body_end = 0;

@@ -209,11 +209,8 @@ const std::vector<RuleInfo>& RuleCatalog() {
        "no capturing-lambda coroutines; captures die with the lambda "
        "temporary at the first suspension"},
       {"coro-untracked-loop", "coroutine",
-       "infinite-loop tasks must register via `co_await sim::SelfHandle` "
-       "so an owner can destroy the frame at teardown"},
-      {"coro-selfhandle-clear", "coroutine",
-       "a registered SelfHandle slot must be cleared before the coroutine "
-       "returns normally (the frame self-destructs; the handle dangles)"},
+       "infinite-loop tasks must join their owner's sim::FrameSet "
+       "(`co_await frames_.Join()`) so it can destroy the frame at teardown"},
       {"coro-manual-resume", "coroutine",
        "no coroutine_handle::resume() outside the simulator event queue; "
        "use sim.ScheduleAfter(0, [h] { h.resume(); })"},
